@@ -26,7 +26,9 @@
 
 use criterion::{black_box, criterion_group, Criterion};
 use mbi_ann::{NnDescentParams, SearchParams};
-use mbi_core::{ColdIndex, GraphBackend, IndexSnapshot, MbiConfig, MbiIndex, TimeWindow};
+use mbi_core::{
+    ColdIndex, GraphBackend, IndexSnapshot, MbiConfig, MbiIndex, QueryRequest, TimeWindow,
+};
 use mbi_data::{windows_for_fraction, DriftingMixture};
 use mbi_math::Metric;
 use serde::Serialize;
@@ -162,7 +164,7 @@ fn sweep_budgets(w: &Workload) -> ColdSummary {
     let params = config().search;
     let hot_baseline = run_pass(
         |q, win| {
-            black_box(w.snapshot.query_with_params(q, K, win, &params));
+            black_box(w.snapshot.search(&QueryRequest::new(q, K, win).with_params(params)));
         },
         &w.queries,
     );
@@ -171,7 +173,7 @@ fn sweep_budgets(w: &Workload) -> ColdSummary {
     let full = open_with_budget(&w.file, u64::MAX);
     run_pass(
         |q, win| {
-            black_box(full.query(q, K, win).unwrap());
+            black_box(full.search(&QueryRequest::new(q, K, win)).unwrap().results);
         },
         &w.queries,
     );
@@ -190,13 +192,13 @@ fn sweep_budgets(w: &Workload) -> ColdSummary {
         let cold = open_with_budget(&w.file, budget);
         let cold_pass = run_pass(
             |q, win| {
-                black_box(cold.query(q, K, win).unwrap());
+                black_box(cold.search(&QueryRequest::new(q, K, win)).unwrap().results);
             },
             &w.queries,
         );
         let warm_pass = run_pass(
             |q, win| {
-                black_box(cold.query(q, K, win).unwrap());
+                black_box(cold.search(&QueryRequest::new(q, K, win)).unwrap().results);
             },
             &w.queries,
         );
@@ -210,7 +212,7 @@ fn sweep_budgets(w: &Workload) -> ColdSummary {
             cold.set_prefetch(false);
             run_pass(
                 |q, win| {
-                    black_box(cold.query(q, K, win).unwrap());
+                    black_box(cold.search(&QueryRequest::new(q, K, win)).unwrap().results);
                 },
                 &w.queries,
             )
@@ -290,7 +292,9 @@ fn bench_cold_query(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             let (q, win) = &w.queries[i % w.queries.len()];
-            black_box(w.snapshot.query_with_params(black_box(q), K, *win, &params))
+            black_box(
+                w.snapshot.search(&QueryRequest::new(black_box(q), K, *win).with_params(params)),
+            )
         })
     });
 
@@ -300,7 +304,7 @@ fn bench_cold_query(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             let (q, win) = &w.queries[i % w.queries.len()];
-            black_box(resident.query(black_box(q), K, *win).unwrap())
+            black_box(resident.search(&QueryRequest::new(black_box(q), K, *win)).unwrap().results)
         })
     });
     drop(resident);
@@ -311,7 +315,7 @@ fn bench_cold_query(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             let (q, win) = &w.queries[i % w.queries.len()];
-            black_box(all_cold.query(black_box(q), K, *win).unwrap())
+            black_box(all_cold.search(&QueryRequest::new(black_box(q), K, *win)).unwrap().results)
         })
     });
     drop(all_cold);

@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use mbi_ann::{NnDescentParams, SearchParams};
-use mbi_core::{GraphBackend, MbiConfig, MbiIndex};
+use mbi_core::{GraphBackend, MbiConfig, MbiIndex, QueryRequest};
 use mbi_data::{windows_for_fraction, DriftingMixture};
 use mbi_math::Metric;
 
@@ -39,7 +39,7 @@ fn bench_query(c: &mut Criterion) {
                 i += 1;
                 let q = dataset.test.get(i % dataset.test.len());
                 let w = windows[i % windows.len()];
-                index.query(black_box(q), 10, w)
+                index.search(&QueryRequest::new(black_box(q), 10, w)).results
             })
         });
     }
@@ -55,7 +55,7 @@ fn bench_query(c: &mut Criterion) {
                 i += 1;
                 let q = angular_dataset.test.get(i % angular_dataset.test.len());
                 let w = windows[i % windows.len()];
-                angular_index.query(black_box(q), 10, w)
+                angular_index.search(&QueryRequest::new(black_box(q), 10, w)).results
             })
         });
     }
@@ -71,7 +71,7 @@ fn bench_query(c: &mut Criterion) {
                 i += 1;
                 let q = dataset.test.get(i % dataset.test.len());
                 let w = windows[i % windows.len()];
-                idx.query(black_box(q), 10, w)
+                idx.search(&QueryRequest::new(black_box(q), 10, w)).results
             })
         });
     }

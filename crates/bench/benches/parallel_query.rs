@@ -10,7 +10,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use mbi_ann::{NnDescentParams, SearchParams};
-use mbi_core::{GraphBackend, MbiConfig, MbiIndex};
+use mbi_core::{GraphBackend, MbiConfig, MbiIndex, QueryRequest};
 use mbi_data::{windows_for_fraction, DriftingMixture};
 use mbi_math::Metric;
 
@@ -44,12 +44,10 @@ fn bench_parallel_query(c: &mut Criterion) {
                 b.iter(|| {
                     i += 1;
                     let q = dataset.test.get(i % dataset.test.len());
-                    index.query_with_params_threaded(
-                        black_box(q),
-                        10,
-                        windows[i % windows.len()],
-                        &params,
-                        t,
+                    index.search(
+                        &QueryRequest::new(black_box(q), 10, windows[i % windows.len()])
+                            .with_params(params)
+                            .with_threads(t),
                     )
                 })
             });

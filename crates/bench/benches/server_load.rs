@@ -1,21 +1,17 @@
 //! Server load benchmark: QPS and latency of the network service over
-//! loopback TCP, single-query vs coalesced mode, on both protocols.
+//! loopback TCP, on both protocols.
 //!
 //! Two artefacts come out of a run:
 //!
 //! * criterion rows (`server_query/*`) — steady-state per-request latency
 //!   of one binary-protocol and one HTTP connection;
-//! * `BENCH_server.json` — the load matrix: {binary, HTTP} × {single,
-//!   coalesced} under a fixed 8-client closed-loop burst, with QPS,
-//!   p50/p99 per-request latency, and the server-reported coalesce ratio.
+//! * `BENCH_server.json` — one row per protocol under a fixed 8-client
+//!   closed-loop burst, with QPS and p50/p99 per-request latency.
 //!
 //! **Honesty note.** Client and server share this machine, so the numbers
 //! include client-side request building and both directions of loopback
-//! TCP; they measure the *service stack* (framing, admission, coalescing,
-//! engine), not network hardware. Coalescing trades per-request latency
-//! (queries wait out the window) for engine efficiency — on a single-vCPU
-//! host the batch runs sequentially anyway, so its win there is only the
-//! single tail-lock acquisition per batch.
+//! TCP; they measure the *service stack* (framing, admission, engine), not
+//! network hardware.
 
 use criterion::{black_box, criterion_group, Criterion};
 use mbi_ann::NnDescentParams;
@@ -25,7 +21,7 @@ use mbi_server::client::{http_request, BinaryClient};
 use mbi_server::{Server, ServerConfig, ServerHandle, TenantConfig};
 use serde::Serialize;
 use std::net::SocketAddr;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const DIM: usize = 16;
 const ROWS: usize = 8192;
@@ -44,16 +40,12 @@ fn row(i: usize) -> Vec<f32> {
     (0..DIM).map(|d| ((d as f32 + 1.0) * x * 0.037).sin() + 0.001 * x).collect()
 }
 
-/// Starts a server with one populated in-memory tenant. `coalesce` turns on
-/// the 2 ms / 16-query collector.
-fn start_server(coalesce: bool) -> (ServerHandle, SocketAddr) {
-    let mut config = ServerConfig::new("127.0.0.1:0", index_config())
+/// Starts a server with one populated in-memory tenant.
+fn start_server() -> (ServerHandle, SocketAddr) {
+    let config = ServerConfig::new("127.0.0.1:0", index_config())
         .with_tenant(TenantConfig::memory("bench", "tok-bench"))
         .with_max_inflight(256)
         .with_default_deadline(None);
-    if coalesce {
-        config = config.with_coalescing(Duration::from_millis(2), 16);
-    }
     let handle = Server::start(config).expect("server starts");
     let addr = handle.addr();
     let mut seed = BinaryClient::connect(addr, "bench", "tok-bench").unwrap();
@@ -74,20 +66,16 @@ fn percentile(sorted: &[u64], p: f64) -> f64 {
 #[derive(Serialize)]
 struct LoadRow {
     protocol: &'static str,
-    mode: &'static str,
     clients: usize,
     queries: usize,
     qps: f64,
     p50_micros: f64,
     p99_micros: f64,
-    /// Fraction of queries the server answered through a batch of ≥ 2
-    /// (from the tenant's own `/stats`); 0 in single mode.
-    coalesce_ratio: f64,
 }
 
 /// One closed-loop burst: `CLIENTS` threads, each with its own connection,
 /// each firing `QUERIES_PER_CLIENT` back-to-back queries.
-fn run_burst(addr: SocketAddr, protocol: &'static str, mode: &'static str) -> LoadRow {
+fn run_burst(addr: SocketAddr, protocol: &'static str) -> LoadRow {
     let t0 = Instant::now();
     let mut nanos: Vec<u64> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CLIENTS)
@@ -127,25 +115,13 @@ fn run_burst(addr: SocketAddr, protocol: &'static str, mode: &'static str) -> Lo
     });
     let wall = t0.elapsed().as_secs_f64();
     nanos.sort_unstable();
-
-    // The server's own view of how much coalescing happened in this burst.
-    let mut probe = BinaryClient::connect(addr, "bench", "tok-bench").unwrap();
-    let stats = serde_json::from_str(&probe.stats().unwrap()).unwrap();
-    let coalesce_ratio = stats
-        .get("serving")
-        .and_then(|s| s.get("coalesce_ratio"))
-        .and_then(|r| r.as_f64())
-        .unwrap_or(0.0);
-
     LoadRow {
         protocol,
-        mode,
         clients: CLIENTS,
         queries: nanos.len(),
         qps: nanos.len() as f64 / wall,
         p50_micros: percentile(&nanos, 0.5),
         p99_micros: percentile(&nanos, 0.99),
-        coalesce_ratio,
     }
 }
 
@@ -161,20 +137,14 @@ struct ServerSummary {
 }
 
 fn run_matrix() -> ServerSummary {
-    let mut matrix = Vec::new();
-    for (mode, coalesce) in [("single", false), ("coalesced", true)] {
-        let (handle, addr) = start_server(coalesce);
-        for protocol in ["binary", "http"] {
-            matrix.push(run_burst(addr, protocol, mode));
-        }
-        handle.shutdown();
-    }
+    let (handle, addr) = start_server();
+    let matrix = ["binary", "http"].into_iter().map(|p| run_burst(addr, p)).collect();
+    handle.shutdown();
     ServerSummary {
         generated_by: "cargo bench -p mbi-bench --bench server_load",
         honesty: "client and server share one machine over loopback TCP; numbers \
-                  measure the service stack (framing, admission, coalescing, engine), \
-                  not network hardware; coalesced mode adds up to one 2 ms window of \
-                  queueing delay per query in exchange for batched engine execution",
+                  measure the service stack (framing, admission, engine), not network \
+                  hardware",
         available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         dim: DIM,
         rows: ROWS,
@@ -198,14 +168,14 @@ fn write_summary(summary: &ServerSummary) {
     }
     for r in &summary.matrix {
         println!(
-            "{:>6} {:>9}: {:>7.0} qps  p50 {:>8.1} µs  p99 {:>8.1} µs  coalesce {:.2}",
-            r.protocol, r.mode, r.qps, r.p50_micros, r.p99_micros, r.coalesce_ratio
+            "{:>6}: {:>7.0} qps  p50 {:>8.1} µs  p99 {:>8.1} µs",
+            r.protocol, r.qps, r.p50_micros, r.p99_micros
         );
     }
 }
 
 fn bench_server_query(c: &mut Criterion) {
-    let (handle, addr) = start_server(false);
+    let (handle, addr) = start_server();
     let mut group = c.benchmark_group("server_query");
 
     let mut client = BinaryClient::connect(addr, "bench", "tok-bench").unwrap();

@@ -1,13 +1,11 @@
 //! Streaming-ingest benchmark (engine subsystem): per-insert latency when
-//! merge-chain builds run on background builder threads ([`StreamingMbi`])
-//! versus inline under the write lock ([`ConcurrentMbi`]), and query latency
-//! while a writer ingests concurrently.
+//! merge-chain builds run on background builder threads ([`StreamingMbi`]),
+//! and query latency while a writer ingests concurrently.
 //!
 //! Criterion's per-iteration distribution is the report here: the streaming
-//! insert row should show a tight spread (appends + a channel send), while
-//! the locked row's tail carries entire merge-chain builds. The
-//! `query_under_ingest` rows show the read side of the same story — snapshot
-//! queries never wait for a build, read-lock queries occasionally do.
+//! insert row should show a tight spread (appends + a channel send). The
+//! `query_under_ingest` row shows the read side of the same story —
+//! snapshot queries never wait for a build.
 //!
 //! Beyond the criterion groups, the run writes `BENCH_streaming.json`: the
 //! per-publication latency series `(sealed_rows, nanos)` from
@@ -24,7 +22,7 @@
 
 use criterion::{black_box, criterion_group, Criterion};
 use mbi_ann::{NnDescentParams, SearchParams};
-use mbi_core::{ConcurrentMbi, EngineConfig, GraphBackend, MbiConfig, StreamingMbi, TimeWindow};
+use mbi_core::{EngineConfig, GraphBackend, MbiConfig, QueryRequest, StreamingMbi, TimeWindow};
 use mbi_data::DriftingMixture;
 use mbi_math::Metric;
 use serde::Serialize;
@@ -85,16 +83,6 @@ fn bench_insert_latency(c: &mut Criterion) {
         let _ = std::fs::remove_dir_all(&dir);
     });
 
-    group.bench_function("insert/locked", |b| {
-        let idx = ConcurrentMbi::new(config());
-        let mut t = 0i64;
-        b.iter(|| {
-            let v = dataset.train.get(t as usize % dataset.train.len());
-            t += 1;
-            idx.insert(black_box(v), t).unwrap()
-        });
-    });
-
     group.finish();
 }
 
@@ -132,41 +120,7 @@ fn bench_query_under_ingest(c: &mut Criterion) {
             b.iter(|| {
                 i += 1;
                 let q = dataset.test.get(i % dataset.test.len());
-                engine.query_with_params(black_box(q), 10, window, &params)
-            })
-        });
-        stop.store(true, Ordering::Release);
-        writer.join().unwrap();
-    }
-
-    {
-        let idx = Arc::new(ConcurrentMbi::new(config()));
-        for (v, t) in dataset.iter() {
-            idx.insert(v, t).unwrap();
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let writer = {
-            let idx = Arc::clone(&idx);
-            let stop = Arc::clone(&stop);
-            let pool = dataset.train.clone();
-            std::thread::spawn(move || {
-                let mut t = PREFILL as i64;
-                while !stop.load(Ordering::Acquire) {
-                    if idx.len() < ROW_CAP {
-                        idx.insert(pool.get(t as usize % pool.len()), t).unwrap();
-                        t += 1;
-                    } else {
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                    }
-                }
-            })
-        };
-        group.bench_function("query_under_ingest/locked", |b| {
-            let mut i = 0usize;
-            b.iter(|| {
-                i += 1;
-                let q = dataset.test.get(i % dataset.test.len());
-                idx.query_with_params(black_box(q), 10, window, &params)
+                engine.search(&QueryRequest::new(black_box(q), 10, window).with_params(params))
             })
         });
         stop.store(true, Ordering::Release);

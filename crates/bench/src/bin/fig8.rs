@@ -12,7 +12,7 @@
 
 use mbi_ann::SearchParams;
 use mbi_bench::*;
-use mbi_core::{GraphBackend, MbiConfig, MbiIndex};
+use mbi_core::{GraphBackend, MbiConfig, MbiIndex, QueryRequest};
 use mbi_data::presets::MOVIELENS;
 use mbi_data::windows_for_fraction;
 use mbi_eval::report::{fmt3, print_table, write_json};
@@ -74,7 +74,7 @@ fn main() {
                 let mut count = 0usize;
                 for (j, w) in windows.iter().enumerate() {
                     let q = dataset.test.get(j % dataset.test.len());
-                    let res = index.query_with_params(q, 10, *w, &search);
+                    let res = index.search(&QueryRequest::new(q, 10, *w).with_params(search));
                     count += res.results.len();
                 }
                 let elapsed = t0.elapsed().as_secs_f64();

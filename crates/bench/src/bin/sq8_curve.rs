@@ -21,7 +21,7 @@ use mbi_ann::{
     brute_force_prepared, brute_force_sq8_prepared, SearchStats, Segment, SegmentStore, VectorStore,
 };
 use mbi_bench::Args;
-use mbi_core::{MbiConfig, StreamingMbi, TimeWindow};
+use mbi_core::{MbiConfig, QueryRequest, StreamingMbi, TimeWindow};
 use mbi_eval::report::{fmt3, print_table, write_json};
 use mbi_math::{Metric, Neighbor, PreparedQuery};
 use rand::rngs::SmallRng;
@@ -186,13 +186,13 @@ fn main() {
         let mut rec = 0.0;
         for q in &queries {
             let exact = e.exact_query(q, k, window);
-            let got = e.query(q, k, window);
+            let got = e.search(&QueryRequest::new(q, k, window)).results;
             let hit = got.iter().filter(|g| exact.iter().any(|t| t.id == g.id)).count();
             rec += hit as f64 / exact.len().max(1) as f64;
         }
         let start = Instant::now();
         for q in &queries {
-            std::hint::black_box(e.query(q, k, window));
+            std::hint::black_box(e.search(&QueryRequest::new(q, k, window)).results);
         }
         let qps = n_queries as f64 / start.elapsed().as_secs_f64();
         engine.push(EnginePoint { mode, recall: rec / n_queries as f64, qps });

@@ -2,16 +2,22 @@
 //! dependency; the workspace's allowed-crate list has no CLI parser).
 
 use crate::CliError;
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 
 /// Parsed command line: a subcommand plus `--key value` options and bare
 /// `--switch` flags.
+///
+/// Every accessor records the key it was asked for; once a subcommand has
+/// read all its keys, [`CliArgs::finish`] rejects whatever else was given,
+/// so a typo or a removed flag is an error rather than silently ignored.
 #[derive(Debug, Default, Clone)]
 pub struct CliArgs {
     /// The subcommand (`build`, `query`, …).
     pub command: String,
     options: HashMap<String, String>,
     switches: Vec<String>,
+    asked: RefCell<BTreeSet<String>>,
 }
 
 impl CliArgs {
@@ -36,11 +42,33 @@ impl CliArgs {
                 _ => switches.push(key.to_string()),
             }
         }
-        Ok(CliArgs { command, options, switches })
+        Ok(CliArgs { command, options, switches, asked: RefCell::default() })
+    }
+
+    /// Records that the subcommand reads `key`.
+    fn ask(&self, key: &str) {
+        self.asked.borrow_mut().insert(key.to_string());
+    }
+
+    /// Fails on the first option or switch (in name order) that no accessor
+    /// has asked for. Call it after reading every key and before doing any
+    /// work.
+    pub fn finish(&self) -> Result<(), CliError> {
+        let asked = self.asked.borrow();
+        let mut given: Vec<&String> = self.options.keys().chain(&self.switches).collect();
+        given.sort();
+        match given.into_iter().find(|k| !asked.contains(*k)) {
+            Some(k) => Err(CliError(format!(
+                "unknown flag --{k} for `mbi {}` (try `mbi help`)",
+                self.command
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// A required string option.
     pub fn require(&self, key: &str) -> Result<&str, CliError> {
+        self.ask(key);
         self.options
             .get(key)
             .map(String::as_str)
@@ -49,12 +77,14 @@ impl CliArgs {
 
     /// An optional string option.
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.ask(key);
         self.options.get(key).map(String::as_str)
     }
 
     /// A typed option with a default; malformed values are an error, not a
     /// silent fallback.
     pub fn get_parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
+        self.ask(key);
         match self.options.get(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| CliError(format!("bad value for --{key}: {v:?}"))),
@@ -63,6 +93,7 @@ impl CliArgs {
 
     /// Whether a bare `--switch` was given.
     pub fn switch(&self, key: &str) -> bool {
+        self.ask(key);
         self.switches.iter().any(|s| s == key)
     }
 }
@@ -109,5 +140,19 @@ mod tests {
     #[test]
     fn positional_arguments_rejected() {
         assert!(CliArgs::parse(&argv("build stray")).is_err());
+    }
+
+    #[test]
+    fn finish_rejects_unread_options_and_switches() {
+        let a = CliArgs::parse(&argv("info --index x.mbi --tree --verbose --color auto")).unwrap();
+        a.require("index").unwrap();
+        a.switch("tree");
+        let err = a.finish().unwrap_err().to_string();
+        assert!(err.contains("--color"), "{err}");
+        a.get("color");
+        let err = a.finish().unwrap_err().to_string();
+        assert!(err.contains("--verbose"), "{err}");
+        a.switch("verbose");
+        a.finish().unwrap();
     }
 }

@@ -6,7 +6,8 @@ use crate::CliError;
 use mbi_ann::{NnDescentParams, SearchParams};
 use mbi_core::tuner::TunerConfig;
 use mbi_core::{
-    EngineConfig, GraphBackend, MbiConfig, MbiIndex, StreamingMbi, TauTuner, TimeWindow,
+    EngineConfig, GraphBackend, MbiConfig, MbiIndex, QueryRequest, StreamingMbi, TauTuner,
+    TimeWindow,
 };
 use mbi_data::preset_by_name;
 use mbi_math::Metric;
@@ -27,6 +28,7 @@ pub fn run(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
         "serve" => crate::serve::serve(args, out),
         "replicate" => crate::serve::replicate(args, out),
         "help" | "--help" => {
+            args.finish()?;
             write!(out, "{}", HELP)?;
             Ok(())
         }
@@ -59,8 +61,7 @@ USAGE:
   mbi serve    --tenants <name:token[:path]>[,…] [--addr <host:port>] [--dim <n>]
                [--metric euclidean|angular|inner_product] [--leaf-size <n>] [--tau <f>]
                [--degree <n>] [--builders <n>] [--max-connections <n>] [--max-inflight <n>]
-               [--deadline-ms <n>] [--coalesce-ms <n>] [--coalesce-batch <n>]
-               [--idle-ms <n>] [--max-frame-bytes <n>]
+               [--deadline-ms <n>] [--idle-ms <n>] [--max-frame-bytes <n>]
                (multi-tenant network service speaking HTTP/1.1+JSON and the MBI1
                 binary protocol on one port; a tenant path ending in .mbi serves
                 that index read-only, any other path is a durable WAL directory,
@@ -73,6 +74,8 @@ USAGE:
                 serve read-only queries; index flags must match the leader's.
                 POST /promote fails it over to a writable primary.)
   mbi help
+
+Every subcommand rejects a flag it does not read, naming it.
 ";
 
 pub(crate) fn parse_metric(s: &str) -> Result<Metric, CliError> {
@@ -93,6 +96,9 @@ fn generate(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let count: usize = args.get_parsed("count", 10_000)?;
     let seed: u64 = args.get_parsed("seed", 7)?;
     let out_path = args.require("out")?;
+    let ts_path = args.get("timestamps");
+    let q_path = args.get("queries");
+    args.finish()?;
 
     let dataset = preset.generate(count as f64 / preset.paper_train as f64, seed);
     io::write_fvecs(out_path, &dataset.train)?;
@@ -104,11 +110,11 @@ fn generate(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
         dataset.metric,
         out_path
     )?;
-    if let Some(ts_path) = args.get("timestamps") {
+    if let Some(ts_path) = ts_path {
         io::write_timestamps(ts_path, &dataset.timestamps)?;
         writeln!(out, "wrote timestamps to {ts_path}")?;
     }
-    if let Some(q_path) = args.get("queries") {
+    if let Some(q_path) = q_path {
         io::write_fvecs(q_path, &dataset.test)?;
         writeln!(out, "wrote {} query vectors to {q_path}", dataset.test.len())?;
     }
@@ -119,6 +125,13 @@ fn generate(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
 fn build(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let input = args.require("input")?;
     let out_path = args.require("out")?;
+    let ts_path = args.get("timestamps");
+    let metric = parse_metric(args.get("metric").unwrap_or("euclidean"))?;
+    let leaf_size: usize = args.get_parsed("leaf-size", 4096)?;
+    let tau: f64 = args.get_parsed("tau", 0.5)?;
+    let degree: usize = args.get_parsed("degree", 24)?;
+    let parallel = args.switch("parallel");
+    args.finish()?;
 
     let (store, mut timestamps) = if input.ends_with(".csv") {
         let (s, t) = io::read_csv(input)?;
@@ -126,7 +139,7 @@ fn build(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
     } else {
         (io::read_fvecs(input)?, None)
     };
-    if let Some(ts_path) = args.get("timestamps") {
+    if let Some(ts_path) = ts_path {
         timestamps = Some(io::read_timestamps(ts_path)?);
     }
     let timestamps = timestamps.unwrap_or_else(|| (0..store.len() as i64).collect());
@@ -138,15 +151,11 @@ fn build(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
         )));
     }
 
-    let metric = parse_metric(args.get("metric").unwrap_or("euclidean"))?;
-    let leaf_size: usize = args.get_parsed("leaf-size", 4096)?;
-    let tau: f64 = args.get_parsed("tau", 0.5)?;
-    let degree: usize = args.get_parsed("degree", 24)?;
     let config = MbiConfig::new(store.dim(), metric)
         .with_leaf_size(leaf_size)
         .with_tau(tau)
         .with_backend(GraphBackend::NnDescent(NnDescentParams { degree, ..Default::default() }))
-        .with_parallel_build(args.switch("parallel"));
+        .with_parallel_build(parallel);
 
     let t0 = Instant::now();
     let mut index = MbiIndex::new(config);
@@ -169,7 +178,10 @@ fn build(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
 
 /// `mbi info` — structure, sizes and a validation pass.
 fn info(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
-    let index = MbiIndex::load_file(args.require("index")?)?;
+    let path = args.require("index")?;
+    let tree = args.switch("tree");
+    args.finish()?;
+    let index = MbiIndex::load_file(path)?;
     let c = index.config();
     writeln!(out, "vectors       : {} ({}-d, {})", index.len(), c.dim, c.metric)?;
     writeln!(out, "leaf size S_L : {}", c.leaf_size)?;
@@ -207,7 +219,7 @@ fn info(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
         Ok(()) => writeln!(out, "validation    : ok")?,
         Err(e) => writeln!(out, "validation    : FAILED — {e}")?,
     }
-    if args.switch("tree") {
+    if tree {
         writeln!(out, "block tree    :")?;
         write!(out, "{}", index.render_tree())?;
     }
@@ -219,6 +231,7 @@ fn info(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
 /// process exits non-zero on a corrupt file (scriptable as a backup check).
 fn verify(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let path = args.require("index")?;
+    args.finish()?;
     let len =
         std::fs::metadata(path).map_err(|e| CliError(format!("cannot read {path}: {e}")))?.len();
     writeln!(out, "file          : {path} ({len} bytes)")?;
@@ -252,8 +265,10 @@ fn query(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
         args.get_parsed("epsilon", index.config().search.epsilon)?,
     );
     let query_threads: usize = args.get_parsed("query-threads", index.config().query_threads)?;
+    let (vector, query_file) = (args.get("vector"), args.get("queries"));
+    args.finish()?;
 
-    let queries: Vec<Vec<f32>> = match (args.get("vector"), args.get("queries")) {
+    let queries: Vec<Vec<f32>> = match (vector, query_file) {
         (Some(lit), None) => vec![io::parse_vector_literal(lit)?],
         (None, Some(path)) => {
             let store = io::read_fvecs(path)?;
@@ -271,7 +286,9 @@ fn query(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
             )));
         }
         let t0 = Instant::now();
-        let result = index.query_with_params_threaded(q, k, window, &search, query_threads);
+        let result = index.search(
+            &QueryRequest::new(q, k, window).with_params(search).with_threads(query_threads),
+        );
         let took = t0.elapsed();
         writeln!(
             out,
@@ -310,6 +327,7 @@ fn tune(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
         search: index.config().search,
         ..TunerConfig::default()
     };
+    args.finish()?;
     let tuner = TauTuner::calibrate(&index, &queries, &config);
     writeln!(out, "window fraction <= | best tau | mean latency")?;
     for (edge, tau, lat) in tuner.report() {
@@ -349,17 +367,21 @@ fn bench_query(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
         args.get_parsed("mc", index.config().search.max_candidates)?,
         args.get_parsed("epsilon", index.config().search.epsilon)?,
     );
+    let builders =
+        if args.switch("streaming") { Some(args.get_parsed("builders", 2)?) } else { None };
+    args.finish()?;
 
     let windows = mbi_data::windows_for_fraction(index.timestamps(), fraction, store.len(), 7);
-    if args.switch("streaming") {
-        return bench_query_streaming(args, out, &index, &store, &windows, k, rounds, &search);
+    if let Some(builders) = builders {
+        return bench_query_streaming(builders, out, &index, &store, &windows, k, rounds, &search);
     }
     let mut recorder = mbi_eval::latency::LatencyRecorder::with_capacity(rounds * store.len());
     let mut results_total = 0usize;
     for _ in 0..rounds {
         for (i, w) in windows.iter().enumerate() {
             let q = store.get(i % store.len());
-            let res = recorder.time(|| index.query_with_params(q, k, *w, &search));
+            let res =
+                recorder.time(|| index.search(&QueryRequest::new(q, k, *w).with_params(search)));
             results_total += res.results.len();
         }
     }
@@ -389,7 +411,7 @@ fn bench_query(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
 /// and configuration; the engine rebuilds its blocks in the background.
 #[allow(clippy::too_many_arguments)]
 fn bench_query_streaming(
-    args: &CliArgs,
+    builders: usize,
     out: &mut dyn Write,
     index: &MbiIndex,
     queries: &mbi_ann::VectorStore,
@@ -398,7 +420,6 @@ fn bench_query_streaming(
     rounds: usize,
     search: &SearchParams,
 ) -> Result<(), CliError> {
-    let builders: usize = args.get_parsed("builders", 2)?;
     let engine = StreamingMbi::with_engine_config(
         *index.config(),
         EngineConfig::default().with_builder_threads(builders).with_queue_depth(8),
@@ -417,7 +438,11 @@ fn bench_query_streaming(
         let mut qi = 0usize;
         while !writer.is_finished() {
             let q = queries.get(qi % queries.len());
-            recorder.time(|| engine.query_with_params(q, k, windows[qi % windows.len()], search));
+            recorder.time(|| {
+                engine.search(
+                    &QueryRequest::new(q, k, windows[qi % windows.len()]).with_params(*search),
+                )
+            });
             qi += 1;
         }
         interleaved = qi;
@@ -430,7 +455,7 @@ fn bench_query_streaming(
     for _ in 0..post_rounds {
         for (i, w) in windows.iter().enumerate() {
             let q = queries.get(i % queries.len());
-            recorder.time(|| engine.query_with_params(q, k, *w, search));
+            recorder.time(|| engine.search(&QueryRequest::new(q, k, *w).with_params(*search)));
         }
     }
     let ingest = mbi_eval::IngestSummary::from_engine_stats(&engine.stats());
@@ -638,6 +663,19 @@ mod tests {
         assert!(out.contains("per insert"), "{out}");
         assert!(out.contains("9 seals"), "{out}"); // 1200 rows / 128 leaf
         assert!(out.contains("throughput"), "{out}");
+    }
+
+    #[test]
+    fn subcommands_reject_flags_they_do_not_read() {
+        for line in [
+            "build --input x.fvecs --out y.mbi --paralel",
+            "info --index x.mbi --tre",
+            "generate --preset coms --out x.fvecs --sed 3",
+            "help --verbose",
+        ] {
+            let err = run_cmd(line).unwrap_err().to_string();
+            assert!(err.contains("unknown flag"), "{line}: {err}");
+        }
     }
 
     #[test]

@@ -59,18 +59,13 @@ pub fn parse_serve_config(args: &CliArgs) -> Result<ServerConfig, CliError> {
     engine.builder_threads = args.get_parsed("builders", engine.builder_threads)?;
 
     let deadline_ms: u64 = args.get_parsed("deadline-ms", 2000)?;
-    let coalesce_ms: u64 = args.get_parsed("coalesce-ms", 0)?;
     let idle_ms: u64 = args.get_parsed("idle-ms", 30_000)?;
     let mut config = ServerConfig::new(addr, index)
         .with_engine(engine)
         .with_max_connections(args.get_parsed("max-connections", 256)?)
         .with_max_inflight(args.get_parsed("max-inflight", 64)?)
         .with_default_deadline((deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)))
-        .with_idle_timeout((idle_ms > 0).then(|| Duration::from_millis(idle_ms)))
-        .with_coalescing(
-            Duration::from_millis(coalesce_ms),
-            args.get_parsed("coalesce-batch", 32)?,
-        );
+        .with_idle_timeout((idle_ms > 0).then(|| Duration::from_millis(idle_ms)));
     if let Some(cap) = args.get("max-frame-bytes") {
         let cap: usize =
             cap.parse().map_err(|_| CliError(format!("bad --max-frame-bytes {cap:?}")))?;
@@ -79,6 +74,7 @@ pub fn parse_serve_config(args: &CliArgs) -> Result<ServerConfig, CliError> {
     for t in tenants {
         config = config.with_tenant(t);
     }
+    args.finish()?;
     Ok(config)
 }
 
@@ -122,9 +118,11 @@ pub fn parse_replicate_config(args: &CliArgs) -> Result<ServerConfig, CliError> 
         token: leader_token.to_string(),
     };
     let deadline_ms: u64 = args.get_parsed("deadline-ms", 2000)?;
+    let lag_warn_rows = args.get_parsed("lag-warn-rows", 10_000)?;
+    args.finish()?;
     Ok(ServerConfig::new(addr, index)
         .with_default_deadline((deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)))
-        .with_replica_lag_warn(args.get_parsed("lag-warn-rows", 10_000)?)
+        .with_replica_lag_warn(lag_warn_rows)
         .with_tenant(TenantConfig::replica(name, token, dir, source)))
 }
 
@@ -197,13 +195,11 @@ mod tests {
     fn serve_config_parses_and_validates() {
         let config = parse_serve_config(&argv(
             "serve --addr 127.0.0.1:0 --dim 8 --tenants alpha:tok-a,beta:tok-b \
-             --coalesce-ms 5 --coalesce-batch 16 --max-inflight 4 --deadline-ms 100",
+             --max-inflight 4 --deadline-ms 100",
         ))
         .unwrap();
         assert_eq!(config.tenants.len(), 2);
         assert_eq!(config.index.dim, 8);
-        assert_eq!(config.coalesce_window, Duration::from_millis(5));
-        assert_eq!(config.coalesce_max_batch, 16);
         assert_eq!(config.max_inflight, 4);
         assert_eq!(config.default_deadline, Some(Duration::from_millis(100)));
 
@@ -214,6 +210,44 @@ mod tests {
         let config =
             parse_serve_config(&argv("serve --dim 4 --tenants a:t --deadline-ms 0")).unwrap();
         assert_eq!(config.default_deadline, None);
+    }
+
+    #[test]
+    fn serve_rejects_unknown_and_removed_flags() {
+        // A typo is named in the error instead of being silently ignored.
+        let err = parse_serve_config(&argv("serve --dim 4 --tenants a:t --deadine-ms 50"))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("--deadine-ms"), "{err}");
+        // So is a flag that no longer exists.
+        let err = parse_serve_config(&argv("serve --dim 4 --tenants a:t --coalesce-ms 2"))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("--coalesce-ms"), "{err}");
+        // And an unknown bare switch.
+        let err = parse_serve_config(&argv("serve --dim 4 --tenants a:t --verbose"))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("--verbose"), "{err}");
+        let err = parse_replicate_config(&argv(
+            "replicate --from a:1 --leader-tenant t --leader-token k --dir /d --dim 4 --lag 5",
+        ))
+        .unwrap_err()
+        .to_string();
+        assert!(err.contains("--lag"), "{err}");
+    }
+
+    #[test]
+    fn serve_accepts_the_load_benchmark_flags() {
+        // Exactly the flags the loopback benchmark passes to `mbi serve`.
+        let config = parse_serve_config(&argv(
+            "serve --addr 127.0.0.1:0 --dim 16 --metric angular --tenants bench:tok:/data/t",
+        ))
+        .unwrap();
+        assert_eq!(config.addr, "127.0.0.1:0");
+        assert_eq!(config.index.dim, 16);
+        assert_eq!(config.index.metric, mbi_math::Metric::Angular);
+        assert_eq!(config.tenants.len(), 1);
     }
 
     #[test]

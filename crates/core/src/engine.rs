@@ -1,11 +1,10 @@
 //! Streaming ingest engine: background merge-chain builds with atomic
 //! snapshot publication.
 //!
-//! [`ConcurrentMbi`](crate::ConcurrentMbi) is the simplest correct serving
-//! wrapper, but it runs every seal's merge-chain build *inline under the
-//! global write lock* — a root-level merge over `2^h` leaves stalls every
-//! insert and query for the whole build. [`StreamingMbi`] removes the build
-//! from the insert path entirely:
+//! A synchronous [`MbiIndex`] runs every seal's merge-chain build inline in
+//! `insert` — behind a lock, a root-level merge over `2^h` leaves would
+//! stall every insert and query for the whole build. [`StreamingMbi`]
+//! removes the build from the insert path entirely:
 //!
 //! * **Inserts** append to a write-side *tail* (a leaf-sized partial buffer
 //!   behind a short `RwLock`) and return. When a leaf fills, the buffer is
@@ -73,7 +72,7 @@ use crate::error::MbiError;
 use crate::fail;
 use crate::index::{
     assemble_blocks, blocks_for_leaves, build_chain_graphs, merge_chain, validate_blocks, MbiIndex,
-    QueryOutput, TknnResult,
+    QueryOutput, QueryRequest, TknnResult,
 };
 use crate::query_exec::QueryTarget;
 use crate::select::TimeWindow;
@@ -116,8 +115,9 @@ pub enum Backpressure {
     /// memory, insert latency spikes to one *queue wait*, never to a build).
     Block,
     /// Build the merge chain on the inserting thread instead of waiting — a
-    /// load-shedding mode that degrades towards `ConcurrentMbi`'s inline
-    /// behaviour under sustained overload but never stalls on a full queue.
+    /// load-shedding mode that degrades towards the synchronous index's
+    /// inline builds under sustained overload but never stalls on a full
+    /// queue.
     BuildInline,
 }
 
@@ -492,7 +492,13 @@ impl IndexSnapshot {
     }
 
     /// Approximate TkNN over the published rows only (the engine's
-    /// [`StreamingMbi::query`] adds the tail).
+    /// [`StreamingMbi::search`] adds the tail).
+    pub fn search(&self, req: &QueryRequest<'_>) -> QueryOutput {
+        let target = self.target();
+        target.search(req, target.block_selection(req.window))
+    }
+
+    /// [`Self::search`] with explicit search parameters.
     pub fn query_with_params(
         &self,
         query: &[f32],
@@ -500,30 +506,7 @@ impl IndexSnapshot {
         window: TimeWindow,
         params: &SearchParams,
     ) -> QueryOutput {
-        self.target().query_with_params(query, k, window, params)
-    }
-
-    /// [`IndexSnapshot::query_with_params`] under a cooperative deadline
-    /// (see [`MbiIndex::query_with_deadline`]).
-    pub fn query_with_deadline(
-        &self,
-        query: &[f32],
-        k: usize,
-        window: TimeWindow,
-        params: &SearchParams,
-        deadline: Option<std::time::Instant>,
-    ) -> QueryOutput {
-        let target = self.target();
-        let selection = target.block_selection(window);
-        target.query_on_selection_deadline(
-            query,
-            k,
-            window,
-            params,
-            &selection,
-            self.config.query_threads,
-            &crate::query_exec::Deadline::new(deadline),
-        )
+        self.search(&QueryRequest::new(query, k, window).with_params(*params))
     }
 
     /// Exact TkNN over the published rows only, by brute force.
@@ -687,7 +670,7 @@ impl Shared {
 /// snapshot plus an exact scan of the unpublished tail.
 ///
 /// ```
-/// use mbi_core::{EngineConfig, MbiConfig, StreamingMbi, TimeWindow};
+/// use mbi_core::{EngineConfig, MbiConfig, QueryRequest, StreamingMbi, TimeWindow};
 /// use mbi_math::Metric;
 ///
 /// let config = MbiConfig::new(2, Metric::Euclidean).with_leaf_size(8);
@@ -696,7 +679,7 @@ impl Shared {
 ///     engine.insert(&[i as f32, 0.0], i).unwrap();
 /// }
 /// // Queries are correct immediately (unbuilt region served exactly) …
-/// let hits = engine.query(&[40.0, 0.0], 3, TimeWindow::all());
+/// let hits = engine.search(&QueryRequest::new(&[40.0, 0.0], 3, TimeWindow::all())).results;
 /// assert_eq!(hits[0].id, 40);
 /// // … and after flush() the snapshot equals the synchronous index.
 /// engine.flush();
@@ -994,16 +977,42 @@ impl StreamingMbi {
         self.shared.snapshot.read().clone()
     }
 
-    /// Approximate TkNN with the configured default search parameters.
-    pub fn query(&self, query: &[f32], k: usize, window: TimeWindow) -> Vec<TknnResult> {
-        self.query_with_params(query, k, window, &self.shared.config.search).results
-    }
-
     /// Approximate TkNN over every committed row: the published snapshot
     /// answers with its per-block graphs, the unpublished tail is scanned
     /// exactly, and the two top-k lists are merged. See the module docs for
     /// why no committed row is missed or double-counted — including when
     /// builds are failing (the failed region stays in the tail).
+    ///
+    /// A deadline that has already passed on entry skips the tail scan too
+    /// and flags the output `timed_out`; otherwise the bounded tail scan
+    /// runs and only the snapshot's block visits are cut short.
+    pub fn search(&self, req: &QueryRequest<'_>) -> QueryOutput {
+        assert_eq!(req.vector.len(), self.shared.config.dim, "query has wrong dimension");
+        let late_on_entry = req.expired_now();
+        // Order matters: tail read lock *before* the snapshot load
+        // establishes `first_row ≤ sealed_rows` (the publisher swaps the
+        // snapshot before trimming the tail).
+        let (snap, tail_hits) = {
+            let tail = self.shared.tail.read();
+            let snap = self.shared.snapshot.read().clone();
+            let hits = if late_on_entry {
+                None
+            } else {
+                self.scan_tail(&tail, snap.sealed_rows(), req.vector, req.k, req.window)
+            };
+            (snap, hits)
+        };
+        let mut out = snap.search(req);
+        out.timed_out |= late_on_entry;
+        if let Some((hits, tail_stats)) = tail_hits {
+            out.results = merge_results(out.results, hits, req.k);
+            out.stats.merge(&tail_stats);
+            out.selection.tail = true;
+        }
+        out
+    }
+
+    /// [`Self::search`] with explicit search parameters.
     pub fn query_with_params(
         &self,
         query: &[f32],
@@ -1011,132 +1020,7 @@ impl StreamingMbi {
         window: TimeWindow,
         params: &SearchParams,
     ) -> QueryOutput {
-        assert_eq!(query.len(), self.shared.config.dim, "query has wrong dimension");
-        // Order matters: tail read lock *before* the snapshot load
-        // establishes `first_row ≤ sealed_rows` (the publisher swaps the
-        // snapshot before trimming the tail).
-        let (snap, tail_hits) = {
-            let tail = self.shared.tail.read();
-            let snap = self.shared.snapshot.read().clone();
-            let hits = self.scan_tail(&tail, snap.sealed_rows(), query, k, window);
-            (snap, hits)
-        };
-        let mut out = snap.query_with_params(query, k, window, params);
-        if let Some((hits, tail_stats)) = tail_hits {
-            out.results = merge_results(out.results, hits, k);
-            out.stats.merge(&tail_stats);
-            out.selection.tail = true;
-        }
-        out
-    }
-
-    /// [`StreamingMbi::query_with_params`] under a cooperative deadline
-    /// (see [`MbiIndex::query_with_deadline`]): if `deadline` has already
-    /// passed on entry the tail scan is skipped too and the output is
-    /// flagged `timed_out`; otherwise the bounded tail scan runs and only
-    /// the snapshot's block visits are cut short.
-    pub fn query_with_deadline(
-        &self,
-        query: &[f32],
-        k: usize,
-        window: TimeWindow,
-        params: &SearchParams,
-        deadline: Option<std::time::Instant>,
-    ) -> QueryOutput {
-        assert_eq!(query.len(), self.shared.config.dim, "query has wrong dimension");
-        let late_on_entry = deadline.is_some_and(|d| std::time::Instant::now() >= d);
-        let (snap, tail_hits) = {
-            let tail = self.shared.tail.read();
-            let snap = self.shared.snapshot.read().clone();
-            let hits = if late_on_entry {
-                None
-            } else {
-                self.scan_tail(&tail, snap.sealed_rows(), query, k, window)
-            };
-            (snap, hits)
-        };
-        let mut out = snap.query_with_deadline(query, k, window, params, deadline);
-        out.timed_out |= late_on_entry;
-        if let Some((hits, tail_stats)) = tail_hits {
-            out.results = merge_results(out.results, hits, k);
-            out.stats.merge(&tail_stats);
-            out.selection.tail = true;
-        }
-        out
-    }
-
-    /// Answers many queries against one consistent engine state: the tail
-    /// lock and snapshot are taken *once*, every query's tail scan runs
-    /// under that single lock hold, and the snapshot (immutable by
-    /// construction) is then fanned out across `threads` workers (`0` = all
-    /// cores), mirroring the thread-budget rule of
-    /// [`MbiIndex::query_batch`]. Per query the answer is bit-identical to
-    /// [`StreamingMbi::query_with_params`] against the same state — the
-    /// server's batch coalescer relies on exactly this equivalence.
-    pub fn query_batch(
-        &self,
-        queries: &[(Vec<f32>, usize, TimeWindow)],
-        params: &SearchParams,
-        threads: usize,
-    ) -> Vec<Vec<TknnResult>> {
-        for (q, _, _) in queries {
-            assert_eq!(q.len(), self.shared.config.dim, "query has wrong dimension");
-        }
-        let (snap, tail_hits) = {
-            let tail = self.shared.tail.read();
-            let snap = self.shared.snapshot.read().clone();
-            let hits: Vec<_> = queries
-                .iter()
-                .map(|(q, k, w)| self.scan_tail(&tail, snap.sealed_rows(), q, *k, *w))
-                .collect();
-            (snap, hits)
-        };
-        let merge_one = |(q, k, w): &(Vec<f32>, usize, TimeWindow),
-                         tail_hit: Option<(Vec<TknnResult>, SearchStats)>,
-                         inner: usize| {
-            let target = snap.target();
-            let selection = target.block_selection(*w);
-            let out = target.query_on_selection_threaded(q, *k, *w, params, &selection, inner);
-            match tail_hit {
-                Some((hits, _)) => merge_results(out.results, hits, *k),
-                None => out.results,
-            }
-        };
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let threads = if threads == 0 { cores } else { threads };
-        let mut out: Vec<Vec<TknnResult>> = vec![Vec::new(); queries.len()];
-        if threads <= 1 || queries.len() <= 1 {
-            for ((qkw, hit), slot) in queries.iter().zip(tail_hits).zip(out.iter_mut()) {
-                *slot = merge_one(qkw, hit, self.shared.config.query_threads);
-            }
-            return out;
-        }
-        let chunk = queries.len().div_ceil(threads).max(1);
-        let workers = queries.len().div_ceil(chunk);
-        let inner = if workers >= cores { 1 } else { (cores / workers).max(1) };
-        let mut hit_chunks: Vec<Vec<_>> = Vec::with_capacity(workers);
-        {
-            let mut rest = tail_hits;
-            while rest.len() > chunk {
-                let tail = rest.split_off(chunk);
-                hit_chunks.push(rest);
-                rest = tail;
-            }
-            hit_chunks.push(rest);
-        }
-        std::thread::scope(|scope| {
-            for ((qchunk, hchunk), ochunk) in
-                queries.chunks(chunk).zip(hit_chunks).zip(out.chunks_mut(chunk))
-            {
-                let merge_one = &merge_one;
-                scope.spawn(move || {
-                    for ((qkw, hit), slot) in qchunk.iter().zip(hchunk).zip(ochunk.iter_mut()) {
-                        *slot = merge_one(qkw, hit, inner);
-                    }
-                });
-            }
-        });
-        out
+        self.search(&QueryRequest::new(query, k, window).with_params(*params))
     }
 
     /// Exact scan of the unpublished, in-window tail rows. Returns `None`
@@ -1761,53 +1645,26 @@ mod tests {
     }
 
     #[test]
-    fn query_batch_matches_individual_queries() {
-        let engine = StreamingMbi::new(config());
-        fill(&engine, 67); // 8 sealed leaves + 3 tail rows
-        engine.flush();
-        let params = SearchParams::new(64, 1.2);
-        let queries: Vec<(Vec<f32>, usize, TimeWindow)> =
-            (0..9).map(|i| (vec![i as f32 * 7.0, 0.0], 3, TimeWindow::new(i, i + 50))).collect();
-        let serial = engine.query_batch(&queries, &params, 1);
-        let parallel = engine.query_batch(&queries, &params, 4);
-        assert_eq!(serial, parallel);
-        for ((q, k, w), batch) in queries.iter().zip(&serial) {
-            assert_eq!(*batch, engine.query_with_params(q, *k, *w, &params).results);
-        }
-    }
-
-    #[test]
-    fn query_batch_covers_unpublished_tail() {
-        // No flush: with a slow builder most rows are still tail-resident,
-        // so the batch path must merge tail scans to stay correct.
-        let engine = StreamingMbi::new(config());
-        fill(&engine, 29);
-        let params = SearchParams::new(64, 1.2);
-        let queries: Vec<(Vec<f32>, usize, TimeWindow)> = vec![
-            (vec![28.0, 0.0], 4, TimeWindow::all()),
-            (vec![0.0, 0.0], 2, TimeWindow::new(24, 29)),
-        ];
-        for (i, res) in engine.query_batch(&queries, &params, 0).iter().enumerate() {
-            let (q, k, w) = &queries[i];
-            assert_eq!(*res, engine.query_with_params(q, *k, *w, &params).results, "query {i}");
-        }
-    }
-
-    #[test]
     fn engine_deadline_flags_partial_results() {
         let engine = StreamingMbi::new(config());
         fill(&engine, 67);
         engine.flush();
         let params = SearchParams::new(64, 1.2);
-        let none = engine.query_with_deadline(&[40.0, 0.0], 5, TimeWindow::all(), &params, None);
+        let none = engine
+            .search(&QueryRequest::new(&[40.0, 0.0], 5, TimeWindow::all()).with_params(params));
         assert!(!none.timed_out);
         assert_eq!(
             none.results,
-            engine.query_with_params(&[40.0, 0.0], 5, TimeWindow::all(), &params).results
+            engine
+                .search(&QueryRequest::new(&[40.0, 0.0], 5, TimeWindow::all()).with_params(params))
+                .results
         );
         let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
-        let late =
-            engine.query_with_deadline(&[40.0, 0.0], 5, TimeWindow::all(), &params, Some(past));
+        let late = engine.search(
+            &QueryRequest::new(&[40.0, 0.0], 5, TimeWindow::all())
+                .with_params(params)
+                .with_deadline(past),
+        );
         assert!(late.timed_out);
         assert!(late.results.is_empty());
     }
@@ -1842,7 +1699,10 @@ mod tests {
     fn empty_engine_queries_cleanly() {
         let engine = StreamingMbi::new(config());
         assert!(engine.is_empty());
-        assert!(engine.query(&[0.0, 0.0], 5, TimeWindow::all()).is_empty());
+        assert!(engine
+            .search(&QueryRequest::new(&[0.0, 0.0], 5, TimeWindow::all()))
+            .results
+            .is_empty());
         assert!(engine.exact_query(&[0.0, 0.0], 5, TimeWindow::all()).is_empty());
         engine.flush();
         assert_eq!(engine.stats().seals, 0);
@@ -1906,8 +1766,8 @@ mod tests {
         assert_eq!(converged.store().as_flat(), sync.store().as_flat());
         let w = TimeWindow::new(2, 20);
         assert_eq!(
-            converged.query(&[17.0, 1.0], 5, w),
-            sync.query(&[17.0, 1.0], 5, w),
+            converged.search(&QueryRequest::new(&[17.0, 1.0], 5, w)).results,
+            sync.search(&QueryRequest::new(&[17.0, 1.0], 5, w)).results,
             "flushed engine answers like the sync index"
         );
     }
@@ -2024,7 +1884,10 @@ mod tests {
         assert_eq!(engine.len(), 45);
         assert_eq!(engine.stats().published_leaves, 5);
         let w = TimeWindow::new(2, 40);
-        assert_eq!(engine.query(&[17.0, 1.0], 5, w), sync.query(&[17.0, 1.0], 5, w));
+        assert_eq!(
+            engine.search(&QueryRequest::new(&[17.0, 1.0], 5, w)).results,
+            sync.search(&QueryRequest::new(&[17.0, 1.0], 5, w)).results
+        );
         assert_eq!(engine.exact_query(&[17.0, 1.0], 5, w), sync.exact_query(&[17.0, 1.0], 5, w));
         // Streaming continues where the index left off, converging again.
         for i in 45..64usize {
@@ -2073,9 +1936,10 @@ mod tests {
         assert_eq!(snap.validate(), Ok(()));
         assert_eq!(snap.sealed_rows(), 16);
         let w = TimeWindow::all();
-        assert_eq!(snap.query_with_params(&[7.0, 0.0], 3, w, &config().search).results, {
-            sync.query(&[7.0, 0.0], 3, w)
-        });
+        assert_eq!(
+            snap.search(&QueryRequest::new(&[7.0, 0.0], 3, w).with_params(config().search)).results,
+            { sync.search(&QueryRequest::new(&[7.0, 0.0], 3, w)).results }
+        );
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::Timestamp;
 use mbi_ann::{SearchParams, SearchStats, VectorStore};
 use mbi_math::Metric;
 use std::borrow::Borrow;
+use std::time::Instant;
 
 /// One TkNN answer: a vector id (insertion order), its timestamp, and its
 /// distance to the query.
@@ -37,6 +38,60 @@ pub struct QueryOutput {
     /// was searched — `results` then covers only the places visited in
     /// time (partial, never garbage). Always `false` without a deadline.
     pub timed_out: bool,
+}
+
+/// One TkNN request — the single input of every engine's `search`
+/// ([`MbiIndex::search`], [`IndexSnapshot::search`](crate::IndexSnapshot::search),
+/// [`StreamingMbi::search`](crate::StreamingMbi::search),
+/// [`ColdIndex::search`](crate::ColdIndex::search)). A `None` field takes the
+/// index config's value.
+#[derive(Clone, Copy, Debug)]
+pub struct QueryRequest<'a> {
+    /// The query vector (`dim` floats).
+    pub vector: &'a [f32],
+    /// Number of neighbours wanted.
+    pub k: usize,
+    /// The time window `[t_s, t_e)`.
+    pub window: TimeWindow,
+    /// Graph-search `M_C`/`ε`; `None` = [`MbiConfig::search`].
+    pub params: Option<SearchParams>,
+    /// Cooperative deadline, checked between block visits: once it passes
+    /// the search stops and returns what it has merged so far with
+    /// [`QueryOutput::timed_out`] set. `None` = unbounded.
+    pub deadline: Option<Instant>,
+    /// Intra-query fan-out width (`0` = auto: cores, with a sequential
+    /// fallback for small selections); `None` = [`MbiConfig::query_threads`].
+    pub threads: Option<usize>,
+}
+
+impl<'a> QueryRequest<'a> {
+    /// A request with every optional field at the index config's value.
+    pub fn new(vector: &'a [f32], k: usize, window: TimeWindow) -> Self {
+        QueryRequest { vector, k, window, params: None, deadline: None, threads: None }
+    }
+
+    /// Sets explicit search parameters.
+    pub fn with_params(mut self, params: SearchParams) -> Self {
+        self.params = Some(params);
+        self
+    }
+
+    /// Sets a cooperative deadline.
+    pub fn with_deadline(mut self, deadline: Instant) -> Self {
+        self.deadline = Some(deadline);
+        self
+    }
+
+    /// Sets an explicit fan-out width (`0` = auto).
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = Some(threads);
+        self
+    }
+
+    /// Whether the deadline had already passed when this was called.
+    pub(crate) fn expired_now(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
+    }
 }
 
 /// One row of [`MbiIndex::level_stats`].
@@ -428,109 +483,22 @@ impl MbiIndex {
         self.target().block_selection(window)
     }
 
-    /// Approximate TkNN query with the configured default search parameters.
-    pub fn query(&self, query: &[f32], k: usize, window: TimeWindow) -> Vec<TknnResult> {
-        self.query_with_params(query, k, window, &self.config.search).results
-    }
-
-    /// Approximate TkNN query (Algorithm 4) with explicit `M_C`/`ε`,
-    /// returning results plus instrumentation.
+    /// Approximate TkNN query (Algorithm 4): selects the search block set
+    /// for `req.window`, searches every selected block, scans the tail leaf,
+    /// and merges.
+    ///
+    /// Results and [`SearchStats`] are bit-identical
+    /// for every `req.threads` value: each worker fills a local `TopK` whose
+    /// retention depends only on the *set* of offered `(dist, id)` pairs
+    /// (total order, deterministic tie-break on id), workers are merged in
+    /// block order, and the stats fields are order-independent sums.
     ///
     /// # Panics
     ///
-    /// Panics if `query.len() != dim`.
-    pub fn query_with_params(
-        &self,
-        query: &[f32],
-        k: usize,
-        window: TimeWindow,
-        params: &SearchParams,
-    ) -> QueryOutput {
-        let selection = self.block_selection(window);
-        self.query_on_selection(query, k, window, params, &selection)
-    }
-
-    /// Runs the per-block search + merge of Algorithm 4 over an explicit
-    /// search block set. Exposed so callers (e.g. the `τ` tuner) can select
-    /// blocks under a different `τ` without rebuilding the index.
-    ///
-    /// Fan-out width comes from [`MbiConfig::query_threads`]; see
-    /// [`MbiIndex::query_on_selection_threaded`] for an explicit override.
-    pub fn query_on_selection(
-        &self,
-        query: &[f32],
-        k: usize,
-        window: TimeWindow,
-        params: &SearchParams,
-        selection: &SearchBlockSet,
-    ) -> QueryOutput {
-        self.query_on_selection_threaded(
-            query,
-            k,
-            window,
-            params,
-            selection,
-            self.config.query_threads,
-        )
-    }
-
-    /// [`MbiIndex::query_with_params`] with an explicit fan-out width
-    /// (`threads` as in [`MbiIndex::query_on_selection_threaded`]).
-    pub fn query_with_params_threaded(
-        &self,
-        query: &[f32],
-        k: usize,
-        window: TimeWindow,
-        params: &SearchParams,
-        threads: usize,
-    ) -> QueryOutput {
-        let selection = self.block_selection(window);
-        self.query_on_selection_threaded(query, k, window, params, &selection, threads)
-    }
-
-    /// [`MbiIndex::query_on_selection`] with an explicit fan-out width,
-    /// overriding [`MbiConfig::query_threads`]: `0` = auto (cores, with the
-    /// adaptive sequential fallback), `n > 0` forces up to `n` workers.
-    ///
-    /// Results and merged [`SearchStats`] are bit-identical for every
-    /// `threads` value: each worker fills a local `TopK` whose retention
-    /// depends only on the *set* of offered `(dist, id)` pairs (total order,
-    /// deterministic tie-break on id), workers are merged in block order,
-    /// and the stats fields are order-independent sums.
-    pub fn query_on_selection_threaded(
-        &self,
-        query: &[f32],
-        k: usize,
-        window: TimeWindow,
-        params: &SearchParams,
-        selection: &SearchBlockSet,
-        threads: usize,
-    ) -> QueryOutput {
-        self.target().query_on_selection_threaded(query, k, window, params, selection, threads)
-    }
-
-    /// [`MbiIndex::query_with_params`] under a cooperative deadline: the
-    /// executor checks the clock between block visits and stops searching
-    /// once `deadline` passes, returning whatever was merged so far with
-    /// [`QueryOutput::timed_out`] set. `None` disables the check entirely.
-    pub fn query_with_deadline(
-        &self,
-        query: &[f32],
-        k: usize,
-        window: TimeWindow,
-        params: &SearchParams,
-        deadline: Option<std::time::Instant>,
-    ) -> QueryOutput {
-        let selection = self.block_selection(window);
-        self.target().query_on_selection_deadline(
-            query,
-            k,
-            window,
-            params,
-            &selection,
-            self.config.query_threads,
-            &crate::query_exec::Deadline::new(deadline),
-        )
+    /// Panics if `req.vector.len() != dim`.
+    pub fn search(&self, req: &QueryRequest<'_>) -> QueryOutput {
+        let target = self.target();
+        target.search(req, target.block_selection(req.window))
     }
 
     /// Exact TkNN by binary search + brute force over the whole store — the
@@ -550,47 +518,6 @@ impl MbiIndex {
     pub fn window_len(&self, window: TimeWindow) -> usize {
         let (lo, hi) = self.window_rows(window);
         hi - lo
-    }
-
-    /// Answers many queries, fanning out across `threads` workers (0 → all
-    /// available cores). Queries are read-only, so this is embarrassingly
-    /// parallel; result order matches input order.
-    ///
-    /// Thread-budget rule: inter-query parallelism takes priority. Each
-    /// worker runs its queries with an intra-query fan-out of
-    /// `max(1, cores / workers)` — so when the batch already saturates the
-    /// cores every inner query degrades to sequential, and leftover cores
-    /// (small batches on wide machines) go to intra-query fan-out. The
-    /// combined spawn count never exceeds the core count.
-    pub fn query_batch(
-        &self,
-        queries: &[(Vec<f32>, usize, TimeWindow)],
-        params: &SearchParams,
-        threads: usize,
-    ) -> Vec<Vec<TknnResult>> {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let threads = if threads == 0 { cores } else { threads };
-        let mut out: Vec<Vec<TknnResult>> = vec![Vec::new(); queries.len()];
-        if threads <= 1 {
-            for ((q, k, w), slot) in queries.iter().zip(out.iter_mut()) {
-                *slot = self.query_with_params(q, *k, *w, params).results;
-            }
-            return out;
-        }
-        let chunk = queries.len().div_ceil(threads).max(1);
-        // Workers actually spawned (≤ `threads` for short batches).
-        let workers = queries.len().div_ceil(chunk);
-        let inner = if workers >= cores { 1 } else { (cores / workers).max(1) };
-        std::thread::scope(|scope| {
-            for (qchunk, ochunk) in queries.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for ((q, k, w), slot) in qchunk.iter().zip(ochunk.iter_mut()) {
-                        *slot = self.query_with_params_threaded(q, *k, *w, params, inner).results;
-                    }
-                });
-            }
-        });
-        out
     }
 
     /// Per-level summary of the block tree: `(height, block count, total
@@ -730,7 +657,10 @@ mod tests {
     fn empty_index_queries_cleanly() {
         let idx = MbiIndex::new(small_config());
         assert!(idx.is_empty());
-        assert!(idx.query(&[0.0, 0.0], 5, TimeWindow::all()).is_empty());
+        assert!(idx
+            .search(&QueryRequest::new(&[0.0, 0.0], 5, TimeWindow::all()))
+            .results
+            .is_empty());
         assert!(idx.exact_query(&[0.0, 0.0], 5, TimeWindow::all()).is_empty());
     }
 
@@ -783,7 +713,7 @@ mod tests {
         let idx = line_index(64, small_config());
         for (s, e) in [(0i64, 64i64), (5, 20), (30, 34), (0, 8), (56, 64), (11, 53)] {
             let w = TimeWindow::new(s, e);
-            let got = idx.query(&[17.3, 0.0], 5, w);
+            let got = idx.search(&QueryRequest::new(&[17.3, 0.0], 5, w)).results;
             let exact = idx.exact_query(&[17.3, 0.0], 5, w);
             let got_ids: Vec<u32> = got.iter().map(|r| r.id).collect();
             let exact_ids: Vec<u32> = exact.iter().map(|r| r.id).collect();
@@ -798,7 +728,7 @@ mod tests {
     fn query_respects_window_strictly() {
         let idx = line_index(40, small_config());
         // Query vector sits at 10 but window is [30, 35).
-        let res = idx.query(&[10.0, 0.0], 3, TimeWindow::new(30, 35));
+        let res = idx.search(&QueryRequest::new(&[10.0, 0.0], 3, TimeWindow::new(30, 35))).results;
         assert_eq!(res.len(), 3);
         for r in &res {
             assert!((30..35).contains(&r.timestamp), "{:?}", r);
@@ -809,21 +739,27 @@ mod tests {
     #[test]
     fn empty_window_returns_nothing() {
         let idx = line_index(40, small_config());
-        assert!(idx.query(&[5.0, 0.0], 3, TimeWindow::new(20, 20)).is_empty());
-        assert!(idx.query(&[5.0, 0.0], 3, TimeWindow::new(100, 200)).is_empty());
+        assert!(idx
+            .search(&QueryRequest::new(&[5.0, 0.0], 3, TimeWindow::new(20, 20)))
+            .results
+            .is_empty());
+        assert!(idx
+            .search(&QueryRequest::new(&[5.0, 0.0], 3, TimeWindow::new(100, 200)))
+            .results
+            .is_empty());
     }
 
     #[test]
     fn fewer_matches_than_k() {
         let idx = line_index(40, small_config());
-        let res = idx.query(&[0.0, 0.0], 10, TimeWindow::new(35, 38));
+        let res = idx.search(&QueryRequest::new(&[0.0, 0.0], 10, TimeWindow::new(35, 38))).results;
         assert_eq!(res.len(), 3);
     }
 
     #[test]
     fn tail_only_window() {
         let idx = line_index(20, small_config()); // tail = rows 16..20
-        let res = idx.query(&[19.0, 0.0], 2, TimeWindow::new(17, 20));
+        let res = idx.search(&QueryRequest::new(&[19.0, 0.0], 2, TimeWindow::new(17, 20))).results;
         assert_eq!(res.len(), 2);
         assert_eq!(res[0].id, 19);
         assert_eq!(res[1].id, 18);
@@ -838,11 +774,9 @@ mod tests {
         let sel = idx.block_selection(TimeWindow::new(0, 20));
         assert!(sel.tail);
         assert!(!sel.blocks.is_empty());
-        let out = idx.query_with_params(
-            &[9.5, 0.0],
-            4,
-            TimeWindow::new(0, 20),
-            &SearchParams::new(64, 1.2),
+        let out = idx.search(
+            &QueryRequest::new(&[9.5, 0.0], 4, TimeWindow::new(0, 20))
+                .with_params(SearchParams::new(64, 1.2)),
         );
         assert_eq!(out.stats.blocks_searched, sel.places() as u64);
         assert_eq!(out.results.len(), 4);
@@ -903,7 +837,7 @@ mod tests {
         // Timestamp 2 covers rows 6, 7, 8.
         let ids: Vec<u32> = res.iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![6, 7, 8]);
-        let approx = idx.query(&[6.0, 0.0], 3, TimeWindow::new(2, 3));
+        let approx = idx.search(&QueryRequest::new(&[6.0, 0.0], 3, TimeWindow::new(2, 3))).results;
         assert_eq!(approx.len(), 3);
     }
 
@@ -921,7 +855,7 @@ mod tests {
             .with_leaf_size(16)
             .with_backend(crate::GraphBackend::Hnsw(mbi_ann::HnswParams::default()));
         let idx = line_index(80, config);
-        let got = idx.query(&[40.0, 0.0], 5, TimeWindow::new(10, 70));
+        let got = idx.search(&QueryRequest::new(&[40.0, 0.0], 5, TimeWindow::new(10, 70))).results;
         let exact = idx.exact_query(&[40.0, 0.0], 5, TimeWindow::new(10, 70));
         assert_eq!(got.len(), 5);
         let got_ids: std::collections::HashSet<u32> = got.iter().map(|r| r.id).collect();
@@ -996,32 +930,17 @@ mod tests {
     }
 
     #[test]
-    fn query_batch_matches_sequential() {
-        let idx = line_index(96, small_config());
-        let queries: Vec<(Vec<f32>, usize, TimeWindow)> =
-            (0..13).map(|i| (vec![i as f32 * 7.0, 0.0], 3, TimeWindow::new(i, i + 50))).collect();
-        let serial = idx.query_batch(&queries, &SearchParams::new(64, 1.2), 1);
-        let parallel = idx.query_batch(&queries, &SearchParams::new(64, 1.2), 4);
-        let auto = idx.query_batch(&queries, &SearchParams::new(64, 1.2), 0);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial, auto);
-        for (i, res) in serial.iter().enumerate() {
-            let direct = idx.query(&queries[i].0, 3, queries[i].2);
-            assert_eq!(*res, direct);
-        }
-    }
-
-    #[test]
     fn deadline_none_matches_undeadlined_query() {
         let idx = line_index(96, small_config());
         let params = SearchParams::new(64, 1.2);
         let w = TimeWindow::new(3, 90);
-        let plain = idx.query_with_params(&[40.0, 0.0], 5, w, &params);
-        let dead = idx.query_with_deadline(&[40.0, 0.0], 5, w, &params, None);
+        let plain = idx.search(&QueryRequest::new(&[40.0, 0.0], 5, w).with_params(params));
+        let dead = idx.search(&QueryRequest::new(&[40.0, 0.0], 5, w).with_params(params));
         assert_eq!(plain.results, dead.results);
         assert!(!dead.timed_out);
         let far = std::time::Instant::now() + std::time::Duration::from_secs(3600);
-        let relaxed = idx.query_with_deadline(&[40.0, 0.0], 5, w, &params, Some(far));
+        let relaxed = idx
+            .search(&QueryRequest::new(&[40.0, 0.0], 5, w).with_params(params).with_deadline(far));
         assert_eq!(plain.results, relaxed.results);
         assert!(!relaxed.timed_out);
     }
@@ -1030,12 +949,10 @@ mod tests {
     fn expired_deadline_returns_partial_flagged() {
         let idx = line_index(96, small_config());
         let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
-        let out = idx.query_with_deadline(
-            &[40.0, 0.0],
-            5,
-            TimeWindow::all(),
-            &SearchParams::new(64, 1.2),
-            Some(past),
+        let out = idx.search(
+            &QueryRequest::new(&[40.0, 0.0], 5, TimeWindow::all())
+                .with_params(SearchParams::new(64, 1.2))
+                .with_deadline(past),
         );
         // Every block visit (and the tail) is skipped; no panic, empty
         // partial result, flag set.

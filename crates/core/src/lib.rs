@@ -22,7 +22,7 @@
 //! # Quick start
 //!
 //! ```
-//! use mbi_core::{MbiConfig, MbiIndex, TimeWindow};
+//! use mbi_core::{MbiConfig, MbiIndex, QueryRequest, TimeWindow};
 //! use mbi_math::Metric;
 //!
 //! let config = MbiConfig::new(4, Metric::Euclidean).with_leaf_size(64);
@@ -31,7 +31,8 @@
 //!     let x = i as f32 * 0.01;
 //!     index.insert(&[x.sin(), x.cos(), x, -x], i).unwrap();
 //! }
-//! let hits = index.query(&[0.5, 0.5, 0.5, -0.5], 10, TimeWindow::new(100, 900));
+//! let req = QueryRequest::new(&[0.5, 0.5, 0.5, -0.5], 10, TimeWindow::new(100, 900));
+//! let hits = index.search(&req).results;
 //! assert_eq!(hits.len(), 10);
 //! for h in &hits {
 //!     assert!((100..900).contains(&h.timestamp));
@@ -44,10 +45,9 @@
 //! |---|---|---|
 //! | [`config`] | Table 3 | [`MbiConfig`], [`GraphBackend`] |
 //! | [`block`] | §4.1 | [`Block`], [`BlockGraph`] |
-//! | [`index`] | §4.2, Alg. 3–4 | [`MbiIndex`]: insert / query / exact query |
+//! | [`index`] | §4.2, Alg. 3–4 | [`MbiIndex`], [`QueryRequest`]: insert / search / exact query |
 //! | [`select`] | §4.3 | top-down block selection, overlap ratio |
 //! | [`persist`] | — | binary save/load of a built index |
-//! | [`concurrent`] | — | [`ConcurrentMbi`]: queries concurrent with ingest |
 //! | [`engine`] | — | [`StreamingMbi`]: background builds, snapshot publication |
 //! | [`tier`] | — | [`ColdIndex`]: mmap-backed cold tier, LRU block cache, prefetch |
 //! | [`times`] | — | [`TimeChunks`]: chunk-shared timestamp column for snapshots |
@@ -60,7 +60,6 @@
 #![warn(missing_docs)]
 
 pub mod block;
-pub mod concurrent;
 pub mod config;
 pub mod engine;
 pub mod error;
@@ -76,14 +75,13 @@ pub mod tuner;
 pub mod wal;
 
 pub use block::{Block, BlockGraph, SharedBlocks};
-pub use concurrent::ConcurrentMbi;
 pub use config::{GraphBackend, MbiConfig};
 pub use engine::{
     Backpressure, EngineConfig, EngineHealth, EngineStats, IndexSnapshot, RetryPolicy,
     StreamingMbi, WalSync,
 };
 pub use error::MbiError;
-pub use index::{LevelStats, MbiIndex, QueryOutput, TknnResult};
+pub use index::{LevelStats, MbiIndex, QueryOutput, QueryRequest, TknnResult};
 pub use replicate::{ReplEvent, Replica, ReplicationCursor, WalFeed};
 pub use select::{SearchBlockSet, TimeWindow};
 pub use tier::{ColdIndex, TierStats};

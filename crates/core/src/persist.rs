@@ -68,7 +68,7 @@
 //! tier knobs at their defaults (everything resident).
 //!
 //! ```
-//! use mbi_core::{MbiConfig, MbiIndex, TimeWindow};
+//! use mbi_core::{MbiConfig, MbiIndex, QueryRequest, TimeWindow};
 //! use mbi_math::Metric;
 //!
 //! let mut index = MbiIndex::new(MbiConfig::new(2, Metric::Euclidean).with_leaf_size(16));
@@ -78,7 +78,8 @@
 //! let bytes = index.to_bytes();
 //! let restored = MbiIndex::from_bytes(bytes).unwrap();
 //! let w = TimeWindow::new(5, 45);
-//! assert_eq!(index.query(&[20.0, 0.0], 3, w), restored.query(&[20.0, 0.0], 3, w));
+//! let req = QueryRequest::new(&[20.0, 0.0], 3, w);
+//! assert_eq!(index.search(&req).results, restored.search(&req).results);
 //! ```
 
 use crate::block::{Block, BlockGraph};
@@ -1786,6 +1787,7 @@ fn read_graph(b: &mut Src, block_len: usize) -> Result<BlockGraph, MbiError> {
 mod tests {
     use super::*;
     use crate::fail::{ErrorInjectingReader, ErrorInjectingWriter};
+    use crate::index::QueryRequest;
     use crate::select::TimeWindow;
 
     fn build_index(backend: GraphBackend, n: usize) -> MbiIndex {
@@ -1803,8 +1805,10 @@ mod tests {
         assert_eq!(a.num_leaves(), b.num_leaves());
         assert_eq!(a.blocks().len(), b.blocks().len());
         for (q, w) in [(5.0f32, (0i64, 60i64)), (30.0, (10, 50)), (55.0, (40, 64))] {
-            let qa = a.query(&[q, 0.0, -q], 5, TimeWindow::new(w.0, w.1));
-            let qb = b.query(&[q, 0.0, -q], 5, TimeWindow::new(w.0, w.1));
+            let qa =
+                a.search(&QueryRequest::new(&[q, 0.0, -q], 5, TimeWindow::new(w.0, w.1))).results;
+            let qb =
+                b.search(&QueryRequest::new(&[q, 0.0, -q], 5, TimeWindow::new(w.0, w.1))).results;
             assert_eq!(qa, qb);
         }
     }
@@ -1924,8 +1928,11 @@ mod tests {
         let loaded = MbiIndex::from_bytes(idx.to_bytes()).unwrap();
         assert_eq!(loaded.store().inv_norms(), idx.store().inv_norms());
         for (q, w) in [(0.3f32, (0i64, 60i64)), (0.9, (10, 50)), (-0.4, (40, 70))] {
-            let qa = idx.query(&[q, 0.2, -q], 5, TimeWindow::new(w.0, w.1));
-            let qb = loaded.query(&[q, 0.2, -q], 5, TimeWindow::new(w.0, w.1));
+            let qa =
+                idx.search(&QueryRequest::new(&[q, 0.2, -q], 5, TimeWindow::new(w.0, w.1))).results;
+            let qb = loaded
+                .search(&QueryRequest::new(&[q, 0.2, -q], 5, TimeWindow::new(w.0, w.1)))
+                .results;
             assert_eq!(qa, qb);
         }
     }
@@ -1948,8 +1955,11 @@ mod tests {
         // The column is recomputed on load, bit-identical to insert-time.
         assert_eq!(loaded.store().inv_norms(), idx.store().inv_norms());
         for (q, w) in [(0.3f32, (0i64, 60i64)), (0.9, (10, 50))] {
-            let qa = idx.query(&[q, 0.2, -q], 5, TimeWindow::new(w.0, w.1));
-            let qb = loaded.query(&[q, 0.2, -q], 5, TimeWindow::new(w.0, w.1));
+            let qa =
+                idx.search(&QueryRequest::new(&[q, 0.2, -q], 5, TimeWindow::new(w.0, w.1))).results;
+            let qb = loaded
+                .search(&QueryRequest::new(&[q, 0.2, -q], 5, TimeWindow::new(w.0, w.1)))
+                .results;
             assert_eq!(qa, qb);
         }
 
@@ -2060,8 +2070,8 @@ mod tests {
         let params = a.config().search;
         for (q, w) in [(5.0f32, (0i64, 60i64)), (30.0, (10, 50)), (55.0, (40, 64))] {
             let w = TimeWindow::new(w.0, w.1);
-            let qa = a.query_with_params(&[q, 0.0, -q], 5, w, &params);
-            let qb = b.query_with_params(&[q, 0.0, -q], 5, w, &params);
+            let qa = a.search(&QueryRequest::new(&[q, 0.0, -q], 5, w).with_params(params));
+            let qb = b.search(&QueryRequest::new(&[q, 0.0, -q], 5, w).with_params(params));
             assert_eq!(qa.results, qb.results);
         }
     }

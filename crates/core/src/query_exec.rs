@@ -9,7 +9,7 @@
 
 use crate::block::Block;
 use crate::config::MbiConfig;
-use crate::index::{QueryOutput, TknnResult};
+use crate::index::{QueryOutput, QueryRequest, TknnResult};
 use crate::select::{select_blocks, BlockArray, SearchBlockSet, TimeWindow};
 use crate::times::TimeChunks;
 use crate::Timestamp;
@@ -26,19 +26,19 @@ use std::time::Instant;
 /// unbounded. The flag latches, so once any worker observes expiry every
 /// later [`Deadline::expired`] call is a single atomic load — no further
 /// clock reads.
-pub(crate) struct Deadline {
+struct Deadline {
     at: Option<Instant>,
     hit: AtomicBool,
 }
 
 impl Deadline {
-    pub(crate) fn new(at: Option<Instant>) -> Self {
+    fn new(at: Option<Instant>) -> Self {
         Deadline { at, hit: AtomicBool::new(false) }
     }
 
     /// Whether the deadline has passed (checked between block visits —
     /// granularity is one block search, never mid-scan).
-    pub(crate) fn expired(&self) -> bool {
+    fn expired(&self) -> bool {
         let Some(at) = self.at else { return false };
         if self.hit.load(Ordering::Relaxed) {
             return true;
@@ -51,7 +51,7 @@ impl Deadline {
     }
 
     /// Whether any [`Deadline::expired`] call returned true.
-    pub(crate) fn was_hit(&self) -> bool {
+    fn was_hit(&self) -> bool {
         self.hit.load(Ordering::Relaxed)
     }
 }
@@ -170,69 +170,21 @@ where
         SearchBlockSet { blocks, tail }
     }
 
-    /// Approximate TkNN query with instrumentation, using the configured
-    /// fan-out width.
-    pub fn query_with_params(
-        &self,
-        query: &[f32],
-        k: usize,
-        window: TimeWindow,
-        params: &SearchParams,
-    ) -> QueryOutput {
-        let selection = self.block_selection(window);
-        self.query_on_selection_threaded(
-            query,
-            k,
-            window,
-            params,
-            &selection,
-            self.config.query_threads,
-        )
-    }
-
-    /// Runs the per-block search + merge of Algorithm 4 over an explicit
-    /// search block set with an explicit fan-out width (`0` = auto). See
-    /// [`MbiIndex::query_on_selection_threaded`](crate::MbiIndex::query_on_selection_threaded)
-    /// for the determinism argument; this is its implementation.
-    pub fn query_on_selection_threaded(
-        &self,
-        query: &[f32],
-        k: usize,
-        window: TimeWindow,
-        params: &SearchParams,
-        selection: &SearchBlockSet,
-        threads: usize,
-    ) -> QueryOutput {
-        self.query_on_selection_deadline(
-            query,
-            k,
-            window,
-            params,
-            selection,
-            threads,
-            &Deadline::new(None),
-        )
-    }
-
-    /// [`Self::query_on_selection_threaded`] under a cooperative deadline:
-    /// the deadline is checked between block visits (sequential path) and
-    /// per block per worker (fan-out path, via the shared latched flag), so
-    /// a straggler query stops within one block search of expiry instead of
-    /// holding a server worker indefinitely. On expiry the output carries
-    /// whatever was merged so far with `timed_out = true` — partial results,
-    /// never a panic. With `deadline = None` this is exactly the undeadlined
-    /// path (one untaken branch per block).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn query_on_selection_deadline(
-        &self,
-        query: &[f32],
-        k: usize,
-        window: TimeWindow,
-        params: &SearchParams,
-        selection: &SearchBlockSet,
-        threads: usize,
-        deadline: &Deadline,
-    ) -> QueryOutput {
+    /// The query executor (Algorithm 4 after selection): searches every
+    /// full block of `selection`, scans its tail leaf by BSBF, and merges.
+    /// `req`'s `None` fields take this target's config values.
+    ///
+    /// The deadline is checked between block visits (sequential path) and
+    /// per block per worker (fan-out path, via a shared latched flag), so a
+    /// straggler query stops within one block search of expiry. On expiry
+    /// the output carries whatever was merged so far with `timed_out` set —
+    /// partial results, never a panic. Without a deadline this costs one
+    /// untaken branch per block.
+    pub fn search(&self, req: &QueryRequest<'_>, selection: SearchBlockSet) -> QueryOutput {
+        let QueryRequest { vector: query, k, window, .. } = *req;
+        let params = &req.params.unwrap_or(self.config.search);
+        let threads = req.threads.unwrap_or(self.config.query_threads);
+        let deadline = &Deadline::new(req.deadline);
         assert_eq!(query.len(), self.config.dim, "query has wrong dimension");
         let mut stats = SearchStats::default();
         let mut merged = TopK::new(k);
@@ -241,7 +193,7 @@ where
         // this query touches (and every worker — `PreparedQuery` is `Copy`).
         let pq = PreparedQuery::new(self.config.metric, query);
 
-        let workers = self.effective_query_threads(threads, selection);
+        let workers = self.effective_query_threads(threads, &selection);
         if workers <= 1 {
             with_thread_scratch(|scratch, buf| {
                 for &bi in &selection.blocks {
@@ -328,14 +280,14 @@ where
         QueryOutput {
             results: self.to_results(merged),
             stats,
-            selection: selection.clone(),
+            selection,
             timed_out: deadline.was_hit(),
         }
     }
 
     /// Searches one selected full block, merging hits into `merged` and
     /// counters into `stats` — the per-block body shared by the sequential
-    /// and fan-out paths of [`Self::query_on_selection_threaded`].
+    /// and fan-out paths of [`Self::search`].
     ///
     /// The block is answered by an SF-style filtered graph search (Algorithm
     /// 4 line 8) — unless the window covers so few of the block's rows that

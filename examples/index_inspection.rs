@@ -1,14 +1,17 @@
-//! Index inspection and batch querying: the operational side of running MBI
-//! in production — structure dumps, per-level size accounting (the
+//! Index inspection and querying: the operational side of running MBI in
+//! production — structure dumps, per-level size accounting (the
 //! `O(|D| log |D|)` of §4.4.1 made visible), integrity validation, and the
-//! parallel batch-query API.
+//! intra-query fan-out.
 //!
 //! Run with:
 //! ```sh
 //! cargo run --release --example index_inspection
 //! ```
 
-use mbi::{GraphBackend, MbiConfig, MbiIndex, Metric, NnDescentParams, SearchParams, TimeWindow};
+use mbi::{
+    GraphBackend, MbiConfig, MbiIndex, Metric, NnDescentParams, QueryRequest, SearchParams,
+    TimeWindow,
+};
 use mbi_data::DriftingMixture;
 
 fn main() {
@@ -57,28 +60,33 @@ fn main() {
     index.validate().expect("freshly built index is consistent");
     println!("\nvalidate(): ok");
 
-    // 4. Batch queries fan out across cores; results match one-at-a-time.
-    let batch: Vec<(Vec<f32>, usize, TimeWindow)> = (0..32)
+    // 4. Queries run with an intra-query fan-out over the selected blocks;
+    //    the width never changes an answer.
+    let requests: Vec<(Vec<f32>, TimeWindow)> = (0..32)
         .map(|i| {
             let q = dataset.test.get(i % dataset.test.len()).to_vec();
             let s = (i as i64 * 200) % 8_000;
-            (q, 10, TimeWindow::new(s, s + 2_000))
+            (q, TimeWindow::new(s, s + 2_000))
         })
         .collect();
     let t0 = std::time::Instant::now();
-    let answers = index.query_batch(&batch, &index.config().search, 0);
+    let answers: Vec<_> = requests
+        .iter()
+        .map(|(q, w)| index.search(&QueryRequest::new(q, 10, *w).with_threads(0)).results)
+        .collect();
     let elapsed = t0.elapsed();
     let hits: usize = answers.iter().map(Vec::len).sum();
     println!(
-        "\nbatch: {} queries → {} results in {:.2?} ({:.0} qps)",
-        batch.len(),
+        "
+queries: {} requests → {} results in {:.2?} ({:.0} qps)",
+        requests.len(),
         hits,
         elapsed,
-        batch.len() as f64 / elapsed.as_secs_f64()
+        requests.len() as f64 / elapsed.as_secs_f64()
     );
-    for (i, (q, k, w)) in batch.iter().enumerate().take(2) {
-        let single = index.query(q, *k, *w);
-        assert_eq!(single, answers[i], "batch result matches single-query path");
+    for ((q, w), answer) in requests.iter().zip(&answers).take(2) {
+        let sequential = index.search(&QueryRequest::new(q, 10, *w).with_threads(1)).results;
+        assert_eq!(&sequential, answer, "fan-out result matches the sequential path");
     }
-    println!("batch results verified against single-query path");
+    println!("fan-out results verified against the sequential path");
 }

@@ -8,8 +8,8 @@
 //! cargo run --release --example movie_catalog
 //! ```
 
-use mbi::core::tuner::{query_with_tau, TunerConfig};
-use mbi::{MbiConfig, MbiIndex, SearchParams, TauTuner, TimeWindow};
+use mbi::core::tuner::TunerConfig;
+use mbi::{MbiConfig, MbiIndex, QueryRequest, SearchParams, TauTuner, TimeWindow};
 use mbi_data::presets::MOVIELENS;
 use std::time::Instant;
 
@@ -45,7 +45,7 @@ fn main() {
     // "Movies released 1980–1995 most similar to this query embedding".
     let zootopia = dataset.test.get(0);
     let window = TimeWindow::new(from_year(1980), from_year(1996));
-    let hits = index.query(zootopia, 5, window);
+    let hits = index.search(&QueryRequest::new(zootopia, 5, window)).results;
     println!("\nfive most similar movies released 1980–1995:");
     for (rank, h) in hits.iter().enumerate() {
         println!(
@@ -86,11 +86,12 @@ fn main() {
     let short = TimeWindow::new(from_year(1990), from_year(1993));
     let frac = short.len() as f64 / (t_max - t_min + 1) as f64;
     if let Some(tau) = tuner.suggest(frac) {
-        let ids = query_with_tau(&index, zootopia, 5, short, tau, &search);
+        index.set_tau(tau);
+        let hits = index.search(&QueryRequest::new(zootopia, 5, short).with_params(search)).results;
         println!(
             "\nshort window 1990–1992 (fraction {:.1}%): tuned τ = {tau}, top hit movie #{}",
             frac * 100.0,
-            ids.first().copied().unwrap_or(0),
+            hits.first().map_or(0, |h| h.id),
         );
     }
 }

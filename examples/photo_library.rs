@@ -9,7 +9,7 @@
 //! ```
 
 use mbi::baselines::{BsbfIndex, SfConfig, SfIndex};
-use mbi::{MbiConfig, MbiIndex, Metric, NnDescentParams, SearchParams, TimeWindow};
+use mbi::{MbiConfig, MbiIndex, Metric, NnDescentParams, QueryRequest, SearchParams, TimeWindow};
 use mbi_data::{DriftingMixture, TimestampModel};
 use std::time::Instant;
 
@@ -84,7 +84,11 @@ fn main() {
         // Time each method over repeated queries.
         let reps = 50;
         for (name, run) in [
-            ("MBI", &(|| mbi.query(camera_roll, 10, window)) as &dyn Fn() -> Vec<mbi::TknnResult>),
+            (
+                "MBI",
+                &(|| mbi.search(&QueryRequest::new(camera_roll, 10, window)).results)
+                    as &dyn Fn() -> Vec<mbi::TknnResult>,
+            ),
             ("BSBF", &(|| bsbf.query(camera_roll, 10, window))),
             ("SF", &(|| sf.query(camera_roll, 10, window))),
         ] {

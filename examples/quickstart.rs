@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use mbi::{MbiConfig, MbiIndex, Metric, SearchParams, TimeWindow};
+use mbi::{MbiConfig, MbiIndex, Metric, QueryRequest, SearchParams, TimeWindow};
 use mbi_data::{Dataset, DriftingMixture};
 
 fn main() {
@@ -54,7 +54,8 @@ fn main() {
         ("long (95%)", TimeWindow::new(0, 95 * n / 100)),
     ] {
         let q = dataset.test.get(0);
-        let out = index.query_with_params(q, 10, window, &index.config().search);
+        let out =
+            index.search(&QueryRequest::new(q, 10, window).with_params(index.config().search));
         println!(
             "\n{label}: window [{}, {}) → {} results, {} block(s) searched, {} distance evals",
             window.start,

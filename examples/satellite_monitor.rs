@@ -5,7 +5,8 @@
 //! around the clock (GK2A takes 30 pictures per hour) while forecasters run
 //! similarity searches over arbitrary historical windows. Demonstrates:
 //!
-//! * [`ConcurrentMbi`]: inserts and queries from different threads;
+//! * [`StreamingMbi`]: inserts and queries from different threads, with
+//!   merge chains built on background builder threads;
 //! * parallel bottom-up block merging (§4.2) for ingest spikes;
 //! * saving the index to disk and reloading it.
 //!
@@ -14,7 +15,10 @@
 //! cargo run --release --example satellite_monitor
 //! ```
 
-use mbi::{ConcurrentMbi, MbiConfig, MbiIndex, Metric, NnDescentParams, SearchParams, TimeWindow};
+use mbi::{
+    MbiConfig, MbiIndex, Metric, NnDescentParams, QueryRequest, SearchParams, StreamingMbi,
+    TimeWindow,
+};
 use mbi_data::{DriftingMixture, TimestampModel};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
@@ -42,7 +46,7 @@ fn main() {
         .with_parallel_build(true); // merge chains build their graphs in parallel
 
     // Phase 1: backfill half the history.
-    let index = ConcurrentMbi::new(config);
+    let index = StreamingMbi::new(config);
     let backfill = dataset.len() / 2;
     let t = Instant::now();
     for i in 0..backfill {
@@ -71,7 +75,7 @@ fn main() {
                 while !done.load(Ordering::Acquire) {
                     // Forecasters compare against the same season last "year".
                     let window = TimeWindow::new(2_000 + rounds as i64 % 1000, 12_000);
-                    let res = index.query(q, 10, window);
+                    let res = index.search(&QueryRequest::new(q, 10, window)).results;
                     assert!(res.iter().all(|r| window.contains(r.timestamp)));
                     rounds += 1;
                 }
@@ -87,7 +91,7 @@ fn main() {
     );
 
     // Phase 3: persistence across a restart.
-    let index: MbiIndex = index.into_inner();
+    let index: MbiIndex = index.to_index();
     let path = std::env::temp_dir().join("satellite.mbi");
     let t = Instant::now();
     index.save_file(&path).expect("save index");
@@ -111,7 +115,10 @@ fn main() {
     // The restored index answers identically.
     let q = dataset.test.get(0);
     let w = TimeWindow::new(1_000, 20_000);
-    assert_eq!(index.query(q, 10, w), restored.query(q, 10, w));
+    assert_eq!(
+        index.search(&QueryRequest::new(q, 10, w)).results,
+        restored.search(&QueryRequest::new(q, 10, w)).results
+    );
     println!("restored index verified: identical answers on a spot-check query");
     std::fs::remove_file(&path).ok();
 }

@@ -30,7 +30,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use mbi::{MbiConfig, MbiIndex, Metric, TimeWindow};
+//! use mbi::{MbiConfig, MbiIndex, Metric, QueryRequest, TimeWindow};
 //!
 //! // 8-dimensional vectors under Euclidean distance, tiny blocks for demo.
 //! let config = MbiConfig::new(8, Metric::Euclidean).with_leaf_size(128);
@@ -46,7 +46,7 @@
 //!
 //! // The 5 nearest neighbours among days [500, 1500).
 //! let query = [0.5f32, 0.8, 0.9, 0.1, 0.2, -0.9, 0.3, 1.0];
-//! let hits = index.query(&query, 5, TimeWindow::new(500, 1500));
+//! let hits = index.search(&QueryRequest::new(&query, 5, TimeWindow::new(500, 1500))).results;
 //! assert_eq!(hits.len(), 5);
 //! assert!(hits.iter().all(|h| (500..1500).contains(&h.timestamp)));
 //! ```
@@ -58,8 +58,8 @@
 #![warn(missing_docs)]
 
 pub use mbi_core::{
-    Backpressure, Block, BlockGraph, ColdIndex, ConcurrentMbi, EngineConfig, EngineHealth,
-    EngineStats, GraphBackend, IndexSnapshot, MbiConfig, MbiError, MbiIndex, QueryOutput,
+    Backpressure, Block, BlockGraph, ColdIndex, EngineConfig, EngineHealth, EngineStats,
+    GraphBackend, IndexSnapshot, MbiConfig, MbiError, MbiIndex, QueryOutput, QueryRequest,
     ReplEvent, Replica, ReplicationCursor, RetryPolicy, SearchBlockSet, StreamingMbi, TauTuner,
     TierStats, TimeChunks, TimeWindow, Timestamp, TknnResult, Wal, WalFeed, WalSync,
 };

@@ -1,11 +1,11 @@
-//! Concurrency integration tests for [`mbi::ConcurrentMbi`] and
-//! [`mbi::StreamingMbi`]: correctness of historical queries while ingestion
-//! proceeds, convergence of the streaming engine to the synchronous index,
-//! and clean builder-thread shutdown.
+//! Concurrency integration tests for [`mbi::StreamingMbi`]: correctness of
+//! historical queries while ingestion proceeds, convergence of the
+//! streaming engine to the synchronous index, and clean builder-thread
+//! shutdown.
 
 use mbi::{
-    Backpressure, BlockGraph, ConcurrentMbi, EngineConfig, GraphBackend, MbiConfig, MbiIndex,
-    Metric, NnDescentParams, StreamingMbi, TimeWindow,
+    Backpressure, BlockGraph, EngineConfig, GraphBackend, MbiConfig, MbiIndex, Metric,
+    NnDescentParams, QueryRequest, StreamingMbi, TimeWindow,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -27,7 +27,7 @@ fn vec_for(i: i64) -> [f32; 4] {
 
 #[test]
 fn historical_answers_are_stable_under_ingest() {
-    let idx = ConcurrentMbi::new(config());
+    let idx = StreamingMbi::new(config());
     for i in 0..512i64 {
         idx.insert(&vec_for(i), i).unwrap();
     }
@@ -63,7 +63,7 @@ fn historical_answers_are_stable_under_ingest() {
 
 #[test]
 fn approximate_queries_stay_in_window_under_ingest() {
-    let idx = ConcurrentMbi::new(config());
+    let idx = StreamingMbi::new(config());
     for i in 0..256i64 {
         idx.insert(&vec_for(i), i).unwrap();
     }
@@ -83,7 +83,7 @@ fn approximate_queries_stay_in_window_under_ingest() {
                 let mut rounds = 0;
                 while !done.load(Ordering::Acquire) || rounds < 3 {
                     let w = TimeWindow::new(worker * 10, 200 + worker * 10);
-                    let res = idx.query(&q, 5, w);
+                    let res = idx.search(&QueryRequest::new(&q, 5, w)).results;
                     assert_eq!(res.len(), 5);
                     for r in &res {
                         assert!(w.contains(r.timestamp));
@@ -134,7 +134,7 @@ fn streaming_queries_stay_correct_during_root_level_merges() {
     let frozen = TimeWindow::new(0, 512);
     let q = [5.0f32, -5.0, 2.0, 0.5];
     let baseline_exact = engine.exact_query(&q, 10, frozen);
-    let baseline_approx = engine.query(&q, 10, frozen);
+    let baseline_approx = engine.search(&QueryRequest::new(&q, 10, frozen)).results;
 
     let done = AtomicBool::new(false);
     let checks = AtomicU64::new(0);
@@ -152,7 +152,10 @@ fn streaming_queries_stay_correct_during_root_level_merges() {
                     // The frozen window's committed data never changes, so
                     // the approximate answer is stable too (same blocks,
                     // same graphs, deterministic search).
-                    assert_eq!(engine.query(&q, 10, frozen), baseline_approx);
+                    assert_eq!(
+                        engine.search(&QueryRequest::new(&q, 10, frozen)).results,
+                        baseline_approx
+                    );
                     checks.fetch_add(1, Ordering::Relaxed);
                 }
             });
@@ -279,24 +282,31 @@ fn streaming_snapshot_queries_match_the_synchronous_index() {
         (17, 3, TimeWindow::new(63, 65)),
     ] {
         let q = vec_for(qi * 13);
-        assert_eq!(engine.query(&q, k, w), sync.query(&q, k, w), "q{qi} k{k}");
+        assert_eq!(
+            engine.search(&QueryRequest::new(&q, k, w)).results,
+            sync.search(&QueryRequest::new(&q, k, w)).results,
+            "q{qi} k{k}"
+        );
         assert_eq!(engine.exact_query(&q, k, w), sync.exact_query(&q, k, w), "exact q{qi} k{k}");
     }
 }
 
 #[test]
 fn interleaved_inserts_from_one_writer_preserve_structure() {
-    // The RwLock serialises writers; verify the final structure matches a
-    // sequentially built index.
-    let concurrent = ConcurrentMbi::new(config());
+    // One writer feeds the engine while builders run in the background;
+    // verify the final structure matches a sequentially built index.
+    let concurrent = StreamingMbi::new(config());
     let mut sequential = mbi::MbiIndex::new(config());
     for i in 0..640i64 {
         concurrent.insert(&vec_for(i), i).unwrap();
         sequential.insert(&vec_for(i), i).unwrap();
     }
-    let inner = concurrent.into_inner();
+    let inner = concurrent.to_index();
     assert_eq!(inner.blocks().len(), sequential.blocks().len());
     let q = [1.0f32, 2.0, 3.0, 0.1];
     let w = TimeWindow::new(100, 600);
-    assert_eq!(inner.query(&q, 8, w), sequential.query(&q, 8, w));
+    assert_eq!(
+        inner.search(&QueryRequest::new(&q, 8, w)).results,
+        sequential.search(&QueryRequest::new(&q, 8, w)).results
+    );
 }

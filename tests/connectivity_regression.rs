@@ -8,7 +8,10 @@
 //! so a future "optimisation" cannot silently reintroduce the bug.
 
 use mbi::data::DriftingMixture;
-use mbi::{GraphBackend, MbiConfig, MbiIndex, Metric, NnDescentParams, SearchParams, TimeWindow};
+use mbi::{
+    GraphBackend, MbiConfig, MbiIndex, Metric, NnDescentParams, QueryRequest, SearchParams,
+    TimeWindow,
+};
 
 #[test]
 fn well_separated_clusters_remain_searchable() {
@@ -41,7 +44,7 @@ fn well_separated_clusters_remain_searchable() {
     for qi in 0..dataset.test.len() {
         let q = dataset.test.get(qi);
         let w = TimeWindow::all();
-        let approx = index.query(q, 10, w);
+        let approx = index.search(&QueryRequest::new(q, 10, w)).results;
         let exact = index.exact_query(q, 10, w);
         let exact_ids: std::collections::HashSet<u32> = exact.iter().map(|r| r.id).collect();
         total += exact.len();

@@ -15,8 +15,8 @@
 //! half runs in every configuration.
 
 use mbi::{
-    EngineConfig, MbiConfig, MbiError, MbiIndex, Metric, SearchParams, StreamingMbi, TimeWindow,
-    WalSync,
+    EngineConfig, MbiConfig, MbiError, MbiIndex, Metric, QueryRequest, SearchParams, StreamingMbi,
+    TimeWindow, WalSync,
 };
 use std::path::PathBuf;
 
@@ -308,8 +308,8 @@ fn tiered_checkpoint_crash_recovers_bit_identically_and_serves_cold() {
         let w = TimeWindow::new(s, e);
         let q = row(11);
         assert_eq!(
-            cold.query(&q, 5, w).unwrap(),
-            snap.query_with_params(&q, 5, w, &cold_config.search).results,
+            cold.search(&QueryRequest::new(&q, 5, w)).unwrap().results,
+            snap.search(&QueryRequest::new(&q, 5, w).with_params(cold_config.search)).results,
             "cold tier answer for window [{s},{e})"
         );
         assert_eq!(cold.exact_query(&q, 5, w).unwrap(), snap.exact_query(&q, 5, w));
@@ -450,7 +450,11 @@ mod failpoints {
         let w = TimeWindow::new(0, 50);
         let q = row(23);
         assert_eq!(engine.exact_query(&q, 7, w), sync.exact_query(&q, 7, w));
-        assert_eq!(engine.query(&q, 7, w), sync.exact_query(&q, 7, w), "tail scan is exact");
+        assert_eq!(
+            engine.search(&QueryRequest::new(&q, 7, w)).results,
+            sync.exact_query(&q, 7, w),
+            "tail scan is exact"
+        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 use mbi::baselines::{BsbfIndex, SfConfig, SfIndex};
 use mbi::data::{ground_truth, recall_vs_truth, windows_for_fraction, DriftingMixture};
 use mbi::{
-    GraphBackend, HnswParams, MbiConfig, MbiIndex, Metric, NnDescentParams, SearchParams,
-    TimeWindow,
+    GraphBackend, HnswParams, MbiConfig, MbiIndex, Metric, NnDescentParams, QueryRequest,
+    SearchParams, TimeWindow,
 };
 
 const K: usize = 10;
@@ -68,7 +68,7 @@ fn mbi_reaches_high_recall_across_window_lengths() {
             .iter()
             .map(|(q, w)| {
                 f.mbi
-                    .query_with_params(q, K, *w, &f.search)
+                    .search(&QueryRequest::new(q, K, *w).with_params(f.search))
                     .results
                     .into_iter()
                     .map(|r| r.id)
@@ -90,7 +90,12 @@ fn mbi_with_hnsw_blocks_reaches_high_recall() {
     let results: Vec<Vec<u32>> = workload
         .iter()
         .map(|(q, w)| {
-            f.mbi.query_with_params(q, K, *w, &f.search).results.into_iter().map(|r| r.id).collect()
+            f.mbi
+                .search(&QueryRequest::new(q, K, *w).with_params(f.search))
+                .results
+                .into_iter()
+                .map(|r| r.id)
+                .collect()
         })
         .collect();
     let recall = recall_vs_truth(&results, &truth, K);
@@ -104,7 +109,12 @@ fn angular_metric_end_to_end() {
     let results: Vec<Vec<u32>> = workload
         .iter()
         .map(|(q, w)| {
-            f.mbi.query_with_params(q, K, *w, &f.search).results.into_iter().map(|r| r.id).collect()
+            f.mbi
+                .search(&QueryRequest::new(q, K, *w).with_params(f.search))
+                .results
+                .into_iter()
+                .map(|r| r.id)
+                .collect()
         })
         .collect();
     let recall = recall_vs_truth(&results, &truth, K);
@@ -142,7 +152,12 @@ fn all_methods_return_only_in_window_results() {
     let w = TimeWindow::new(1_000, 2_500);
     let q = f.dataset.test.get(0);
     for ids in [
-        f.mbi.query(q, K, w).iter().map(|r| r.timestamp).collect::<Vec<_>>(),
+        f.mbi
+            .search(&QueryRequest::new(q, K, w))
+            .results
+            .iter()
+            .map(|r| r.timestamp)
+            .collect::<Vec<_>>(),
         f.bsbf.query(q, K, w).iter().map(|r| r.timestamp).collect::<Vec<_>>(),
         f.sf.query(q, K, w).iter().map(|r| r.timestamp).collect::<Vec<_>>(),
     ] {
@@ -174,6 +189,7 @@ fn work_counters_reflect_regimes() {
     );
 
     // MBI touches at most 2 blocks + tail when τ = 0.5 (Lemma 4.1).
-    let out = f.mbi.query_with_params(q, K, TimeWindow::new(700, 4_200), &f.search);
+    let out =
+        f.mbi.search(&QueryRequest::new(q, K, TimeWindow::new(700, 4_200)).with_params(f.search));
     assert!(out.stats.blocks_searched <= 3, "{}", out.stats.blocks_searched);
 }

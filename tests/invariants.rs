@@ -2,7 +2,10 @@
 //! (Algorithm 3), block selection (Algorithm 4), Lemma 4.1, and query
 //! correctness relative to the exact scan.
 
-use mbi::{GraphBackend, MbiConfig, MbiIndex, Metric, NnDescentParams, SearchParams, TimeWindow};
+use mbi::{
+    GraphBackend, MbiConfig, MbiIndex, Metric, NnDescentParams, QueryRequest, SearchParams,
+    TimeWindow,
+};
 use proptest::prelude::*;
 
 /// A cheap index: low dim, tiny degree, fast NNDescent, so proptest can
@@ -142,7 +145,7 @@ proptest! {
         let e = ((s + 20).min(n as i64)).max(s);
         let w = TimeWindow::new(s, e);
         let q = [3.0f32, -2.0];
-        let got = idx.query(&q, k, w);
+        let got = idx.search(&QueryRequest::new(&q, k, w)).results;
         let exact = idx.exact_query(&q, k, w);
 
         prop_assert!(got.len() <= k);

@@ -3,8 +3,8 @@
 //! errors, never panics or silently wrong indexes).
 
 use mbi::{
-    GraphBackend, HnswParams, MbiConfig, MbiIndex, Metric, NnDescentParams, SearchParams,
-    TimeWindow,
+    GraphBackend, HnswParams, MbiConfig, MbiIndex, Metric, NnDescentParams, QueryRequest,
+    SearchParams, TimeWindow,
 };
 
 fn build(backend: GraphBackend, n: usize) -> MbiIndex {
@@ -40,7 +40,11 @@ fn same_behaviour(a: &MbiIndex, b: &MbiIndex) {
     let q = [0.3f32, -0.7, 0.2, 0.9, 0.5, -0.5, 1.0, 0.4];
     for (s, e) in [(0i64, 3000i64), (50, 500), (1200, 1300), (2900, 3100)] {
         let w = TimeWindow::new(s, e);
-        assert_eq!(a.query(&q, 7, w), b.query(&q, 7, w), "window [{s},{e})");
+        assert_eq!(
+            a.search(&QueryRequest::new(&q, 7, w)).results,
+            b.search(&QueryRequest::new(&q, 7, w)).results,
+            "window [{s},{e})"
+        );
         assert_eq!(a.exact_query(&q, 7, w), b.exact_query(&q, 7, w));
     }
 }

@@ -14,7 +14,9 @@
 
 use mbi::core::engine::WAL_DIR;
 use mbi::core::{ReplEvent, Replica, WalFeed};
-use mbi::{EngineConfig, MbiConfig, MbiError, Metric, SearchParams, StreamingMbi, TimeWindow};
+use mbi::{
+    EngineConfig, MbiConfig, MbiError, Metric, QueryRequest, SearchParams, StreamingMbi, TimeWindow,
+};
 use std::path::{Path, PathBuf};
 
 fn config() -> MbiConfig {
@@ -230,7 +232,7 @@ fn retention_hold_keeps_segments_a_follower_still_needs() {
     drain(&mut feed, &replica).unwrap();
     assert_identical(&engine, &replica);
     // The follower's own queries see the replicated data.
-    let hit = replica.engine().query(&row(3), 1, TimeWindow::all());
+    let hit = replica.engine().search(&QueryRequest::new(&row(3), 1, TimeWindow::all())).results;
     assert_eq!(hit[0].dist, 0.0);
 
     let _ = std::fs::remove_dir_all(&ldir);

@@ -5,7 +5,10 @@
 
 use mbi::baselines::{BsbfIndex, SfConfig, SfIndex};
 use mbi::data::DriftingMixture;
-use mbi::{GraphBackend, MbiConfig, MbiIndex, Metric, NnDescentParams, SearchParams, TimeWindow};
+use mbi::{
+    GraphBackend, MbiConfig, MbiIndex, Metric, NnDescentParams, QueryRequest, SearchParams,
+    TimeWindow,
+};
 
 const K: usize = 10;
 
@@ -101,7 +104,7 @@ fn mbi_work_is_bounded_across_window_lengths() {
     let mbi_work = |frac: f64| {
         mean_dist_evals(
             |win| {
-                let out = mbi.query_with_params(&q, K, win, &params);
+                let out = mbi.search(&QueryRequest::new(&q, K, win).with_params(params));
                 out.stats.dist_evals + out.stats.scanned
             },
             n,
@@ -145,11 +148,9 @@ fn mbi_blocks_searched_obeys_lemma_4_1_plus_tail() {
         let len = (n as f64 * frac) as i64;
         for off in [0i64, n / 5, n / 2] {
             let s = off.min(n - len);
-            let out = mbi.query_with_params(
-                &q,
-                K,
-                TimeWindow::new(s, s + len),
-                &SearchParams::new(64, 1.15),
+            let out = mbi.search(
+                &QueryRequest::new(&q, K, TimeWindow::new(s, s + len))
+                    .with_params(SearchParams::new(64, 1.15)),
             );
             assert!(
                 out.stats.blocks_searched <= 2,
