@@ -6,8 +6,8 @@ use crate::CliError;
 use mbi_ann::{NnDescentParams, SearchParams};
 use mbi_core::tuner::TunerConfig;
 use mbi_core::{
-    EngineConfig, GraphBackend, MbiConfig, MbiIndex, QueryRequest, StreamingMbi, TauTuner,
-    TimeWindow,
+    EngineConfig, GraphBackend, IndexSnapshot, MbiConfig, MbiIndex, QueryRequest, StreamKind,
+    StreamingMbi, TauTuner, TimeWindow,
 };
 use mbi_data::preset_by_name;
 use mbi_math::Metric;
@@ -45,9 +45,10 @@ USAGE:
                [--timestamps <ts.txt>] [--metric euclidean|angular|inner_product]
                [--leaf-size <n>] [--tau <f>] [--degree <n>] [--parallel]
   mbi info     --index <index.mbi> [--tree]
-  mbi verify   --index <index.mbi>
-               (checksum + structural integrity check; exits non-zero on any
-                corruption — run it on anything restored from backup)
+  mbi verify   --index <file.mbi>
+               (checksum + structural integrity check of an index or a
+                checkpoint snapshot; exits non-zero on any corruption — run it
+                on anything restored from backup)
   mbi query    --index <index.mbi> (--vector \"x0,x1,…\" | --queries <q.fvecs>)
                [--k <n>] [--from <ts>] [--to <ts>] [--mc <n>] [--epsilon <f>]
                [--query-threads <n>]   (0 = auto; results identical at any width)
@@ -64,8 +65,10 @@ USAGE:
                [--deadline-ms <n>] [--idle-ms <n>] [--max-frame-bytes <n>]
                (multi-tenant network service speaking HTTP/1.1+JSON and the MBI1
                 binary protocol on one port; a tenant path ending in .mbi serves
-                that index read-only, any other path is a durable WAL directory,
-                no path keeps the tenant in memory. Ctrl-C drains and checkpoints.)
+                that checkpoint snapshot (a durable tenant's snapshot.mbi, not an
+                `mbi build` index) read-only from disk, any other path is a
+                durable WAL directory, no path keeps the tenant in memory. Ctrl-C
+                drains and checkpoints.)
   mbi replicate --from <host:port> --leader-tenant <name> --leader-token <tok>
                --dir <wal-dir> --dim <n> [--name <n>] [--token <tok>] [--addr <host:port>]
                [--metric …] [--leaf-size <n>] [--tau <f>] [--degree <n>]
@@ -226,27 +229,33 @@ fn info(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `mbi verify` — load with full checksum verification plus the structural
+/// `mbi verify` — load an index or a checkpoint snapshot (told apart by the
+/// stream's kind byte) with full checksum verification plus the structural
 /// validation pass, reporting exactly what failed. Errors propagate, so the
 /// process exits non-zero on a corrupt file (scriptable as a backup check).
 fn verify(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let path = args.require("index")?;
     args.finish()?;
-    let len =
-        std::fs::metadata(path).map_err(|e| CliError(format!("cannot read {path}: {e}")))?.len();
-    writeln!(out, "file          : {path} ({len} bytes)")?;
-    // Loading verifies the magic, version, section CRCs, and footer (v5) or
-    // the structural checks alone (v2–v4).
-    let index = MbiIndex::load_file(path).map_err(|e| CliError(format!("corrupt index: {e}")))?;
+    let bytes = std::fs::read(path).map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
+    writeln!(out, "file          : {path} ({} bytes)", bytes.len())?;
+    let corrupt = |e| CliError(format!("corrupt index: {e}"));
+    let kind = StreamKind::of(&bytes).map_err(corrupt)?;
+    writeln!(out, "kind          : {kind}")?;
+    // Loading verifies the magic, version, every section CRC and the
+    // footer, then runs the structural parse.
+    let (rows, leaves, blocks, validation) = match kind {
+        StreamKind::Index => {
+            let index = MbiIndex::from_bytes(bytes.into()).map_err(corrupt)?;
+            (index.len(), index.num_leaves(), index.blocks().len(), index.validate())
+        }
+        StreamKind::Snapshot => {
+            let snap = IndexSnapshot::from_bytes(bytes.into()).map_err(corrupt)?;
+            (snap.sealed_rows(), snap.num_leaves(), snap.blocks().len(), snap.validate())
+        }
+    };
     writeln!(out, "checksums     : ok")?;
-    index.validate().map_err(|e| CliError(format!("structural validation failed: {e}")))?;
-    writeln!(
-        out,
-        "structure     : ok — {} rows, {} leaves, {} blocks",
-        index.len(),
-        index.num_leaves(),
-        index.blocks().len()
-    )?;
+    validation.map_err(|e| CliError(format!("structural validation failed: {e}")))?;
+    writeln!(out, "structure     : ok — {rows} rows, {leaves} leaves, {blocks} blocks")?;
     Ok(())
 }
 
@@ -560,6 +569,31 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x08;
         let corrupt = tmp("v_corrupt.mbi");
+        std::fs::write(&corrupt, &bytes).unwrap();
+        let err = run_cmd(&format!("verify --index {corrupt}")).unwrap_err();
+        assert!(err.to_string().contains("corrupt index"), "{err}");
+    }
+
+    #[test]
+    fn verify_checks_checkpoint_snapshots_too() {
+        let dir = tmp("verify_ckpt");
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = MbiConfig::new(4, Metric::Euclidean).with_leaf_size(8);
+        let engine = StreamingMbi::open(&dir, config, EngineConfig::default()).unwrap();
+        for i in 0..40 {
+            engine.insert(&[i as f32, 0.0, 1.0, -(i as f32)], i).unwrap();
+        }
+        engine.checkpoint().unwrap();
+        drop(engine);
+        let snapshot = format!("{dir}/snapshot.mbi");
+        let out = run_cmd(&format!("verify --index {snapshot}")).unwrap();
+        assert!(out.contains("snapshot stream"), "{out}");
+        assert!(out.contains("structure     : ok — 40 rows, 5 leaves"), "{out}");
+
+        let mut bytes = std::fs::read(&snapshot).unwrap();
+        let last = bytes.len() - 100;
+        bytes[last] ^= 0x08;
+        let corrupt = tmp("verify_ckpt_corrupt.mbi");
         std::fs::write(&corrupt, &bytes).unwrap();
         let err = run_cmd(&format!("verify --index {corrupt}")).unwrap_err();
         assert!(err.to_string().contains("corrupt index"), "{err}");

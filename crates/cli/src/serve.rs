@@ -9,7 +9,9 @@ use std::io::Write;
 use std::time::Duration;
 
 /// Parses one `name:token[:path]` tenant spec. A path ending in `.mbi` is a
-/// read-only cold tenant served from that index file; any other path is the
+/// read-only cold tenant served from that checkpoint snapshot (a durable
+/// tenant's `snapshot.mbi`; an `mbi build` index is the other stream kind
+/// and is refused at start); any other path is the
 /// durable directory of a streaming tenant (created on first start,
 /// recovered afterwards); no path means in-memory.
 fn parse_tenant(spec: &str) -> Result<TenantConfig, CliError> {
@@ -189,6 +191,22 @@ mod tests {
         assert_eq!(t.cold_path.as_deref(), Some(std::path::Path::new("/data/x.mbi")));
         assert!(parse_tenant("no-token").is_err());
         assert!(parse_tenant(":tok").is_err());
+    }
+
+    #[test]
+    fn built_index_as_cold_tenant_fails_as_a_kind_mismatch() {
+        let dir = std::env::temp_dir().join("mbi_cli_serve_tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("built.mbi");
+        let mut index = mbi_core::MbiIndex::new(MbiConfig::new(4, mbi_math::Metric::Euclidean));
+        for i in 0..20 {
+            index.insert(&[i as f32, 0.0, 0.0, 1.0], i).unwrap();
+        }
+        index.save_file(&path).unwrap();
+        let args = argv(&format!("serve --addr 127.0.0.1:0 --tenants c:tok:{}", path.display()));
+        let err = serve(&args, &mut Vec::new()).unwrap_err().to_string();
+        assert!(err.contains("wrong stream kind"), "{err}");
+        assert!(!err.contains("corrupt"), "{err}");
     }
 
     #[test]

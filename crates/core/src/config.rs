@@ -73,8 +73,8 @@ pub struct MbiConfig {
     /// ~4× less memory per row than the f32 scan, and the best
     /// `k × sq8_overfetch` candidates are reranked against the exact rows,
     /// so returned distances are always exact. Off by default — exact scans
-    /// remain the baseline behaviour. (Files persisted before v6 load with
-    /// the default; the binary codec fills it in explicitly.)
+    /// remain the baseline behaviour. Persisted with the rest of the
+    /// configuration, so a restarted engine quantizes exactly as before.
     pub sq8_scan: bool,
     /// Over-fetch factor of the SQ8 rerank: the first pass keeps
     /// `k × sq8_overfetch` candidates for exact reranking. Larger values
@@ -86,14 +86,19 @@ pub struct MbiConfig {
     /// least-recently-used ones are evicted once it is exceeded. `u64::MAX`
     /// (the default) keeps everything resident; `0` forces every load to be
     /// evicted as soon as it is unpinned — the all-cold stress configuration.
-    /// In-RAM indexes ignore the budget. (Files persisted before v7 load
-    /// with the default.)
+    /// In-RAM indexes ignore the budget.
     pub ram_budget_bytes: u64,
-    /// Shard count of the cold-tier block cache's LRU map; `≥ 1`. More
-    /// shards reduce lock contention under concurrent queries at the price
-    /// of a slightly less accurate global LRU order.
+    /// Shard count of the cold-tier block cache's LRU map; in
+    /// `1..=MAX_CACHE_SHARDS`. More shards reduce lock contention under
+    /// concurrent queries at the price of a slightly less accurate global
+    /// LRU order.
     pub cache_shards: usize,
 }
+
+/// Upper bound of [`MbiConfig::cache_shards`]: far more shards than
+/// querying threads only dilutes the LRU order, and the loaders reject a
+/// persisted count above it instead of allocating that many shards.
+pub const MAX_CACHE_SHARDS: usize = 4096;
 
 /// Default SQ8 over-fetch: 3× keeps recall ≥ 0.95 across the paper's
 /// datasets while the rerank stays ≪ the first-pass cost.
@@ -205,9 +210,10 @@ impl MbiConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `shards == 0`.
+    /// Panics unless `1 <= shards <= MAX_CACHE_SHARDS`.
     pub fn with_cache_shards(mut self, shards: usize) -> Self {
         assert!(shards > 0, "cache shards must be positive");
+        assert!(shards <= MAX_CACHE_SHARDS, "cache shards must be at most {MAX_CACHE_SHARDS}");
         self.cache_shards = shards;
         self
     }
@@ -268,6 +274,12 @@ mod tests {
     #[should_panic(expected = "cache shards must be positive")]
     fn zero_cache_shards_rejected() {
         MbiConfig::new(4, Metric::Euclidean).with_cache_shards(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cache shards must be at most 4096")]
+    fn implausible_cache_shards_rejected() {
+        MbiConfig::new(4, Metric::Euclidean).with_cache_shards((1 << 31) + 8);
     }
 
     #[test]

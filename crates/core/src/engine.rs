@@ -483,11 +483,6 @@ impl IndexSnapshot {
                 self.times.len()
             ));
         }
-        for i in 1..self.times.len() {
-            if self.times.get(i) < self.times.get(i - 1) {
-                return Err("timestamps not sorted".into());
-            }
-        }
         validate_blocks(self.config.leaf_size, self.num_leaves, &self.blocks, &self.times)
     }
 

@@ -1,5 +1,6 @@
 //! Error type for MBI operations.
 
+use crate::persist::StreamKind;
 use std::fmt;
 
 /// Errors surfaced by the MBI index.
@@ -28,6 +29,15 @@ pub enum MbiError {
         offset: usize,
         /// What was wrong at that offset.
         detail: String,
+    },
+    /// A well-formed stream of the other kind was offered: an index stream
+    /// where a snapshot was expected (a `.mbi` written by `mbi build` handed
+    /// to [`ColdIndex`](crate::ColdIndex)), or the reverse.
+    KindMismatch {
+        /// The kind the loader reads.
+        expected: StreamKind,
+        /// The kind the stream holds.
+        found: StreamKind,
     },
     /// A persisted section's CRC32 does not match its stored checksum: the
     /// bytes were altered (bit rot, torn write, tampering) after being
@@ -95,6 +105,9 @@ impl fmt::Display for MbiError {
             ),
             MbiError::Corrupt { offset, detail } => {
                 write!(f, "corrupt index data at byte {offset}: {detail}")
+            }
+            MbiError::KindMismatch { expected, found } => {
+                write!(f, "wrong stream kind: expected {expected}, found {found}")
             }
             MbiError::ChecksumMismatch { section, expected, got } => write!(
                 f,

@@ -223,11 +223,62 @@ pub(crate) fn assemble_blocks<T: TimeSource + ?Sized>(
         .collect()
 }
 
-/// Checks that `blocks` is the postorder layout of the maximal-subtree
-/// forest implied by `num_leaves` (heights, row ranges), that every block's
-/// timestamp bounds match its rows, and that every graph edge stays inside
-/// its block — invariants 3–5 of [`MbiIndex::validate`], shared with
-/// [`IndexSnapshot::validate`](crate::IndexSnapshot::validate).
+/// Checks a block directory against the timestamp column it indexes: the
+/// timestamps are sorted, and `shapes` — each block's `(rows, height,
+/// start_ts, end_ts)`, in postorder — is the postorder layout of the
+/// maximal-subtree forest implied by `num_leaves`, with timestamp bounds
+/// that match its rows. Runs over decoded [`Block`]s (via
+/// [`validate_blocks`]) and over a snapshot stream's block directory before
+/// any graph is loaded, so the eager and cold readers reject the same
+/// streams.
+pub(crate) fn validate_block_shape<T: TimeSource + ?Sized>(
+    leaf_size: usize,
+    num_leaves: usize,
+    shapes: impl ExactSizeIterator<Item = (std::ops::Range<usize>, u32, Timestamp, Timestamp)>,
+    timestamps: &T,
+) -> Result<(), String> {
+    if (1..timestamps.len()).any(|i| timestamps.get(i) < timestamps.get(i - 1)) {
+        return Err("timestamps not sorted".into());
+    }
+    // Reconstruct the expected postorder layout.
+    let mut expected: Vec<(std::ops::Range<usize>, u32)> = Vec::new();
+    let mut first_leaf = 0usize;
+    for b in (0..usize::BITS).rev() {
+        if num_leaves & (1 << b) == 0 {
+            continue;
+        }
+        push_subtree(first_leaf, 1 << b, leaf_size, &mut expected);
+        first_leaf += 1 << b;
+    }
+    if expected.len() != shapes.len() {
+        return Err(format!(
+            "expected {} blocks for {num_leaves} leaves, found {}",
+            expected.len(),
+            shapes.len()
+        ));
+    }
+    for (i, ((rows, height), (found_rows, found_height, start_ts, end_ts))) in
+        expected.iter().zip(shapes).enumerate()
+    {
+        if found_rows != *rows || found_height != *height {
+            return Err(format!(
+                "block {i}: expected rows {rows:?} height {height}, found {found_rows:?} height {found_height}"
+            ));
+        }
+        let want_start = timestamps.get(rows.start);
+        let want_end = timestamps.get(rows.end - 1).wrapping_add(1);
+        if start_ts != want_start || end_ts != want_end {
+            return Err(format!(
+                "block {i}: timestamp bounds [{start_ts}, {end_ts}) do not match rows ([{want_start}, {want_end}))"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Checks the block shapes ([`validate_block_shape`]) and that every graph
+/// edge stays inside its block — invariants 3–5 of [`MbiIndex::validate`],
+/// shared with [`IndexSnapshot::validate`](crate::IndexSnapshot::validate).
 pub(crate) fn validate_blocks<A, T>(
     leaf_size: usize,
     num_leaves: usize,
@@ -239,39 +290,14 @@ where
     A::Item: Borrow<Block>,
     T: TimeSource + ?Sized,
 {
-    // Reconstruct the expected postorder layout.
-    let mut expected: Vec<(std::ops::Range<usize>, u32)> = Vec::new();
-    let mut first_leaf = 0usize;
-    for b in (0..usize::BITS).rev() {
-        if num_leaves & (1 << b) == 0 {
-            continue;
-        }
-        push_subtree(first_leaf, 1 << b, leaf_size, &mut expected);
-        first_leaf += 1 << b;
-    }
-    if expected.len() != blocks.len() {
-        return Err(format!(
-            "expected {} blocks for {num_leaves} leaves, found {}",
-            expected.len(),
-            blocks.len()
-        ));
-    }
-    for (i, (rows, height)) in expected.iter().enumerate() {
-        let block: &Block = blocks.at(i).borrow();
-        if block.rows != *rows || block.height != *height {
-            return Err(format!(
-                "block {i}: expected rows {rows:?} height {height}, found {:?} height {}",
-                block.rows, block.height
-            ));
-        }
-        let start_ts = timestamps.get(rows.start);
-        let end_ts = timestamps.get(rows.end - 1) + 1;
-        if block.start_ts != start_ts || block.end_ts != end_ts {
-            return Err(format!(
-                "block {i}: timestamp bounds [{}, {}) do not match rows ([{start_ts}, {end_ts}))",
-                block.start_ts, block.end_ts
-            ));
-        }
+    let block = |i: usize| -> &Block { blocks.at(i).borrow() };
+    let shapes = (0..blocks.len()).map(|i| {
+        let b = block(i);
+        (b.rows.clone(), b.height, b.start_ts, b.end_ts)
+    });
+    validate_block_shape(leaf_size, num_leaves, shapes, timestamps)?;
+    for i in 0..blocks.len() {
+        let block = block(i);
         if let BlockGraph::Knn(g) = &block.graph {
             use mbi_ann::Graph;
             if g.node_count() != block.len() {
@@ -600,9 +626,6 @@ impl MbiIndex {
                 self.store.len(),
                 self.timestamps.len()
             ));
-        }
-        if self.timestamps.windows(2).any(|w| w[1] < w[0]) {
-            return Err("timestamps not sorted".into());
         }
         let sealed = self.num_leaves * self.config.leaf_size;
         if sealed > self.len() {

@@ -82,6 +82,7 @@ pub use engine::{
 };
 pub use error::MbiError;
 pub use index::{LevelStats, MbiIndex, QueryOutput, QueryRequest, TknnResult};
+pub use persist::StreamKind;
 pub use replicate::{ReplEvent, Replica, ReplicationCursor, WalFeed};
 pub use select::{SearchBlockSet, TimeWindow};
 pub use tier::{ColdIndex, TierStats};

@@ -1,44 +1,41 @@
-//! Binary persistence for a built index.
+//! Binary persistence: one checksummed stream format, version 7, for a built
+//! [`MbiIndex`] and for an engine [`IndexSnapshot`].
 //!
 //! Time-accumulating deployments restart; rebuilding every block graph costs
 //! `O(|D|^1.14 log |D|)` (§4.4.2), so a saved index pays for itself quickly.
-//! The format is a single little-endian stream: a header with magic/version,
-//! the configuration, the raw data columns, then each block with its graph.
-//! Everything is length-prefixed and validated on load; malformed input
+//! Every stream is little-endian and validated on load: malformed input
 //! yields [`MbiError::Corrupt`] (carrying the byte offset where parsing
-//! failed) or [`MbiError::ChecksumMismatch`], never a panic.
+//! failed) or [`MbiError::ChecksumMismatch`], a well-formed stream of the
+//! other kind yields [`MbiError::KindMismatch`], and nothing panics. Only
+//! version 7 is read or written; any other version is
+//! `unsupported version {v}`.
 //!
-//! # Format v6: checksummed streams + SQ8 columns
-//!
-//! Version 5 wrapped the payload of the previous formats in integrity
-//! armour so disk corruption is *detected*, not parsed; version 6 keeps the
-//! identical envelope and extends the bodies:
+//! # Persist format (v7)
 //!
 //! ```text
-//! stream := "MBI1" version:u32 kind:u8 body footer
-//! kind   := 0 (MbiIndex, v3-layout body) | 1 (IndexSnapshot, v4-layout body)
+//! stream := "MBI1" version:u32 kind:u8 config data blocks footer
+//! kind   := 0 (MbiIndex) | 1 (IndexSnapshot)
 //! footer := count:u8 (tag:u8 len:u64 crc:u32)*count footer_crc:u32
 //!           footer_len:u32 "MBIF"
 //! ```
 //!
-//! The sections — `header` (magic + version + kind), `config`, `data`,
-//! `blocks` — tile the stream exactly; each carries the CRC32 of its bytes,
-//! and the footer carries its own CRC. Any single-byte flip anywhere in a
-//! v5/v6 stream therefore fails a checksum (or the structural parse) before
-//! an index is built from it. v6 appends the SQ8 knobs (`sq8_scan`,
-//! `sq8_overfetch`) to the config record and, for snapshots, an optional
-//! per-leaf SQ8 column (per-dimension `mins`/`deltas`, the `u8` code matrix,
-//! decoded squared norms) after each leaf's float data — so quantized
-//! engines restart without re-encoding. Versions 2–5 are still readable;
-//! pre-v6 streams load with the SQ8 knobs at their defaults (off).
-//! All `save_file` paths write atomically: temp file in the same directory,
-//! fsync, rename, directory fsync — a crash mid-save leaves the previous
-//! file intact.
+//! The four sections — `header` (magic + version + kind), `config`, `data`,
+//! `blocks` — tile the stream exactly; the footer carries each section's
+//! length and CRC32 plus its own CRC, so any single-byte flip fails a
+//! checksum (or the structural parse) before an index is built from it. The
+//! `config` record is the same in both kinds and ends with the SQ8 knobs
+//! (`sq8_scan`, `sq8_overfetch`) and the cold-tier knobs
+//! (`ram_budget_bytes`, `cache_shards`).
 //!
-//! # Format v7: page-aligned leaf records for the cold tier
+//! An index stream stores flat columns, tail rows included:
 //!
-//! v7 keeps the v5/v6 envelope (same footer, same four sections) but lays
-//! the snapshot `data` section out so [`crate::tier::ColdIndex`] can mmap
+//! ```text
+//! data   := n:u64 ts:i64[n] rows:f32[n·d] has_norms:u8 [inv:f32[n]]
+//! blocks := num_leaves:u64 num_blocks:u64
+//!           (rows:u64×2 height:u32 start_ts:i64 end_ts:i64 graph)*
+//! ```
+//!
+//! A snapshot stream lays its sealed leaves out so [`ColdIndex`] can mmap
 //! the file and load each leaf independently, without touching (faulting)
 //! the rest:
 //!
@@ -61,11 +58,16 @@
 //! resolves any leaf. Internal (height ≥ 1) block graphs are concatenated
 //! after the block metadata; leaf block entries point back into the leaf
 //! records. The per-piece CRCs let the cold reader verify lazily, piece by
-//! piece, while the footer's whole-section CRCs still guard eager loads.
-//! Index-kind (`MbiIndex`) v7 streams keep the flat v6 body; the config
-//! record gains the cold-tier knobs (`ram_budget_bytes`, `cache_shards`) in
-//! both kinds. Versions 2–6 remain readable; pre-v7 streams load with the
-//! tier knobs at their defaults (everything resident).
+//! piece, while the footer's whole-section CRCs guard eager loads. Both
+//! readers of a snapshot — the eager [`IndexSnapshot::from_bytes`] and the
+//! cold [`ColdIndex`] — parse it through one layout parser and run the
+//! same structural checks (block directory against the timestamp column,
+//! inverse-norm and SQ8 scalar ranges, graph shapes), so they accept and
+//! reject the same streams.
+//!
+//! All `save_file` paths write atomically: temp file in the same directory,
+//! fsync, rename, directory fsync — a crash mid-save leaves the previous
+//! file intact.
 //!
 //! ```
 //! use mbi_core::{MbiConfig, MbiIndex, QueryRequest, TimeWindow};
@@ -81,117 +83,175 @@
 //! let req = QueryRequest::new(&[20.0, 0.0], 3, w);
 //! assert_eq!(index.search(&req).results, restored.search(&req).results);
 //! ```
+//!
+//! [`ColdIndex`]: crate::tier::ColdIndex
 
 use crate::block::{Block, BlockGraph};
-use crate::config::{GraphBackend, MbiConfig};
+use crate::config::{GraphBackend, MbiConfig, MAX_CACHE_SHARDS};
 use crate::engine::IndexSnapshot;
 use crate::error::MbiError;
-use crate::index::MbiIndex;
+use crate::index::{validate_block_shape, MbiIndex};
 use crate::times::TimeChunks;
 use crate::wal::crc32;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use mbi_ann::{
     EntryPolicy, HnswIndex, HnswParams, KnnGraph, NnDescentParams, SearchParams, Segment,
     SegmentStore, Sq8Column, VectorStore,
 };
 use mbi_math::Metric;
 use std::io::{Read, Write};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"MBI1";
-// v2 appended `query_threads` to the config record. v3 appended the optional
-// inverse-norm column (flag byte + `n` f32s) after the vector floats. v4 is
-// the *snapshot* layout: leaf-sized segments instead of flat columns. v5
-// unifies both kinds under one checksummed envelope (kind byte + per-section
-// CRC32s + footer); the body keeps the v3 (index) / v4 (snapshot) layout.
-// v6 keeps the v5 envelope and appends the SQ8 knobs to the config record
-// plus an optional per-leaf SQ8 code column to snapshot bodies. v7 keeps
-// the envelope and rewrites snapshot data sections as page-aligned leaf
-// records with CRC directories (see the module docs).
-// v2–v6 streams are still readable.
+/// The one stream version read and written (see the module docs).
 const VERSION: u32 = 7;
-const OLDEST_READABLE_VERSION: u32 = 2;
-const SNAPSHOT_BODY_VERSION: u32 = 4;
-const INDEX_BODY_VERSION: u32 = 3;
-/// Body layout of both kinds under a v6 envelope: the legacy layout plus the
-/// config extension (and, for snapshots, the per-leaf SQ8 column).
-const SQ8_BODY_VERSION: u32 = 6;
-/// Body layout under a v7 envelope: the config gains the cold-tier knobs;
-/// snapshot data sections become page-aligned self-contained leaf records
-/// (index bodies keep the v6 flat layout plus the config extension).
-const TIER_BODY_VERSION: u32 = 7;
-
-const KIND_INDEX: u8 = 0;
-const KIND_SNAPSHOT: u8 = 1;
 
 const FOOTER_MAGIC: &[u8; 4] = b"MBIF";
 /// Section names, in stream order; the footer stores one CRC per section.
 const SECTIONS: [&str; 4] = ["header", "config", "data", "blocks"];
 /// magic + version + kind.
 const HEADER_LEN: usize = 4 + 4 + 1;
-/// v7 leaf records start on this boundary, so a mapped read of one record
-/// faults only its own pages.
+/// Snapshot leaf records start on this boundary, so a mapped read of one
+/// record faults only its own pages.
 pub(crate) const PAGE: usize = mbi_ann::PAGE_SIZE;
-/// v7 leaf-directory entry: `record_off` + `graph_off` + `graph_len` + five
+/// Leaf-directory entry: `record_off` + `graph_off` + `graph_len` + five
 /// per-piece CRCs (ts, rows, inv, sq8, graph).
 const LEAF_DIR_ENTRY_LEN: usize = 8 * 3 + 4 * 5;
-/// v7 block-directory entry: row range + height + timestamp span + graph
+/// Block-directory entry: row range + height + timestamp span + graph
 /// location (`graph_off`, `graph_len`, `graph_crc`).
 const BLOCK_DIR_ENTRY_LEN: usize = 8 * 2 + 4 + 8 * 2 + 8 * 2 + 4;
 
-/// A byte source that knows its absolute position in the original stream,
-/// so every parse failure reports the offset where it happened.
-struct Src {
-    b: Bytes,
-    base: usize,
-    len_at_start: usize,
+/// One footer entry: a section's absolute byte range and its stored CRC.
+type Section = (usize, usize, u32);
+
+/// What a stream holds — the kind byte after the version.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StreamKind {
+    /// A whole [`MbiIndex`], tail rows included, as [`MbiIndex::save_file`]
+    /// writes it (and so `mbi build`).
+    Index,
+    /// An engine [`IndexSnapshot`] of sealed leaves, as
+    /// [`IndexSnapshot::save_file`] writes it (and so every checkpoint's
+    /// `snapshot.mbi`) — the kind [`crate::tier::ColdIndex`] serves.
+    Snapshot,
 }
 
-impl Src {
-    fn new(b: Bytes) -> Self {
-        let len_at_start = b.len();
-        Src { b, base: 0, len_at_start }
+impl StreamKind {
+    /// Reads the kind of a stream from its header, after checking the magic
+    /// and the version. Nothing is checksummed here: the loaders verify the
+    /// header CRC before they trust the kind byte.
+    pub fn of(b: &[u8]) -> Result<StreamKind, MbiError> {
+        let truncated = || MbiError::corrupt(b.len(), "truncated stream: no room for header");
+        if b.len() < 8 {
+            return Err(truncated());
+        }
+        if &b[..4] != MAGIC {
+            return Err(MbiError::corrupt(0, "bad magic"));
+        }
+        let version = rd_u32(b, 4);
+        if version != VERSION {
+            return Err(MbiError::corrupt(4, format!("unsupported version {version}")));
+        }
+        match *b.get(8).ok_or_else(truncated)? {
+            0 => Ok(StreamKind::Index),
+            1 => Ok(StreamKind::Snapshot),
+            k => Err(MbiError::corrupt(8, format!("unknown stream kind {k}"))),
+        }
     }
 
-    /// A source for a slice that begins `base` bytes into the full stream.
-    fn with_base(b: Bytes, base: usize) -> Self {
-        let len_at_start = b.len();
-        Src { b, base, len_at_start }
-    }
-
-    /// Absolute offset of the next unread byte.
-    fn offset(&self) -> usize {
-        self.base + self.len_at_start - self.b.remaining()
-    }
-
-    fn corrupt(&self, detail: impl Into<String>) -> MbiError {
-        MbiError::corrupt(self.offset(), detail)
-    }
-
-    fn need(&self, need: usize) -> Result<(), MbiError> {
-        if self.b.remaining() < need {
-            Err(self.corrupt(format!(
-                "truncated stream: need {need} bytes, have {}",
-                self.b.remaining()
-            )))
-        } else {
-            Ok(())
+    fn tag(self) -> u8 {
+        match self {
+            StreamKind::Index => 0,
+            StreamKind::Snapshot => 1,
         }
     }
 }
 
-impl std::ops::Deref for Src {
-    type Target = Bytes;
-
-    fn deref(&self) -> &Bytes {
-        &self.b
+impl std::fmt::Display for StreamKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            StreamKind::Index => "an index stream (MbiIndex::save_file, `mbi build`)",
+            StreamKind::Snapshot => "a snapshot stream (IndexSnapshot::save_file, a checkpoint)",
+        })
     }
 }
 
-impl std::ops::DerefMut for Src {
-    fn deref_mut(&mut self) -> &mut Bytes {
-        &mut self.b
+/// A bounded little-endian cursor over a borrowed byte slice. Positions are
+/// absolute offsets into the whole stream, so every parse failure reports
+/// where it happened, and nothing is copied: the same cursor parses an
+/// owned buffer and a memory map. Callers reserve with [`RawSrc::need`]
+/// before the `get_*` calls.
+struct RawSrc<'a> {
+    b: &'a [u8],
+    pos: usize,
+    end: usize,
+}
+
+impl<'a> RawSrc<'a> {
+    fn new(b: &'a [u8], pos: usize, end: usize) -> Self {
+        debug_assert!(pos <= end && end <= b.len());
+        RawSrc { b, pos, end }
+    }
+
+    fn corrupt(&self, detail: impl Into<String>) -> MbiError {
+        MbiError::corrupt(self.pos, detail)
+    }
+
+    fn overflow(&self) -> MbiError {
+        self.corrupt("size overflow")
+    }
+
+    fn remaining(&self) -> usize {
+        self.end - self.pos
+    }
+
+    fn has_remaining(&self) -> bool {
+        self.pos < self.end
+    }
+
+    fn need(&self, need: usize) -> Result<(), MbiError> {
+        if self.remaining() < need {
+            Err(self
+                .corrupt(format!("truncated stream: need {need} bytes, have {}", self.remaining())))
+        } else {
+            Ok(())
+        }
+    }
+
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        let x = self.b[..self.end][self.pos..self.pos + N].try_into().expect("N bytes");
+        self.pos += N;
+        x
+    }
+
+    fn get_u8(&mut self) -> u8 {
+        self.take::<1>()[0]
+    }
+
+    fn get_u16_le(&mut self) -> u16 {
+        u16::from_le_bytes(self.take())
+    }
+
+    fn get_u32_le(&mut self) -> u32 {
+        u32::from_le_bytes(self.take())
+    }
+
+    fn get_u64_le(&mut self) -> u64 {
+        u64::from_le_bytes(self.take())
+    }
+
+    fn get_i64_le(&mut self) -> i64 {
+        i64::from_le_bytes(self.take())
+    }
+
+    fn get_f32_le(&mut self) -> f32 {
+        f32::from_le_bytes(self.take())
+    }
+
+    fn get_f64_le(&mut self) -> f64 {
+        f64::from_le_bytes(self.take())
     }
 }
 
@@ -218,8 +278,15 @@ pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), MbiError> {
     Ok(())
 }
 
-/// Appends the v5 footer: per-section CRCs, the footer's own CRC, its
-/// length, and the trailing magic. `bounds` are the section boundaries
+/// Writes the header: magic, version, kind.
+fn write_header(b: &mut BytesMut, kind: StreamKind) {
+    b.put_slice(MAGIC);
+    b.put_u32_le(VERSION);
+    b.put_u8(kind.tag());
+}
+
+/// Appends the footer: per-section CRCs, the footer's own CRC, its length,
+/// and the trailing magic. `bounds` are the section boundaries
 /// (`bounds[i]..bounds[i+1]` is section `i`), tiling `b` exactly.
 fn write_footer(b: &mut BytesMut, bounds: &[usize]) {
     debug_assert_eq!(bounds.len(), SECTIONS.len() + 1);
@@ -238,17 +305,15 @@ fn write_footer(b: &mut BytesMut, bounds: &[usize]) {
     b.put_slice(FOOTER_MAGIC);
 }
 
-/// Parses and structurally verifies a v5+ footer on a raw byte slice: the
-/// footer's own CRC is checked and the sections must tile the stream, but
-/// the sections themselves are *not* hashed — [`verify_v5`] does that for
-/// eager loads, while the cold (mmap) reader verifies lazily per piece so
-/// opening a file never faults its data pages. Returns each section's
-/// absolute byte range and stored CRC, in [`SECTIONS`] order.
-fn parse_footer(b: &[u8]) -> Result<[(usize, usize, u32); 4], MbiError> {
+/// Parses and structurally verifies the footer: the footer's own CRC is
+/// checked and the sections must tile the stream, but the sections
+/// themselves are *not* hashed. Returns each section's absolute byte range
+/// and stored CRC, in [`SECTIONS`] order.
+fn parse_footer(b: &[u8]) -> Result<[Section; 4], MbiError> {
     let total = b.len();
     // footer_crc + footer_len + trailing magic is the minimal suffix.
     if total < HEADER_LEN + 12 {
-        return Err(MbiError::corrupt(total, "truncated stream: no room for v5 footer"));
+        return Err(MbiError::corrupt(total, "truncated stream: no room for footer"));
     }
     if &b[total - 4..] != FOOTER_MAGIC {
         return Err(MbiError::corrupt(total - 4, "bad footer magic"));
@@ -263,15 +328,7 @@ fn parse_footer(b: &[u8]) -> Result<[(usize, usize, u32); 4], MbiError> {
     }
     let footer_start = total - 8 - footer_len;
     let footer = &b[footer_start..total - 8];
-    let stored_footer_crc = rd_u32(footer, footer_len - 4);
-    let computed = crc32(&footer[..footer_len - 4]);
-    if computed != stored_footer_crc {
-        return Err(MbiError::ChecksumMismatch {
-            section: "footer",
-            expected: stored_footer_crc,
-            got: computed,
-        });
-    }
+    verify_crc(footer, 0..footer_len - 4, rd_u32(footer, footer_len - 4), "footer")?;
     let count = footer[0] as usize;
     if count != SECTIONS.len() {
         return Err(MbiError::corrupt(
@@ -304,20 +361,50 @@ fn parse_footer(b: &[u8]) -> Result<[(usize, usize, u32); 4], MbiError> {
     if pos != footer_start {
         return Err(MbiError::corrupt(pos, "sections do not tile the stream"));
     }
+    if sections[0].1 != HEADER_LEN {
+        return Err(MbiError::corrupt(0, "header section is not magic + version + kind"));
+    }
     Ok(sections)
 }
 
-/// Verifies a v5 stream's footer and every section CRC; returns the body
-/// region `(start, end)` — the bytes after the kind byte, before the footer.
-fn verify_v5(b: &[u8]) -> Result<(usize, usize), MbiError> {
-    let sections = parse_footer(b)?;
-    for (&name, &(start, end, expected)) in SECTIONS.iter().zip(&sections) {
-        let got = crc32(&b[start..end]);
-        if got != expected {
-            return Err(MbiError::ChecksumMismatch { section: name, expected, got });
-        }
+/// Checks that the CRC32 of `b[range]` is `expected`.
+pub(crate) fn verify_crc(
+    b: &[u8],
+    range: Range<usize>,
+    expected: u32,
+    section: &'static str,
+) -> Result<(), MbiError> {
+    let got = crc32(&b[range]);
+    if got != expected {
+        return Err(MbiError::ChecksumMismatch { section, expected, got });
     }
-    Ok((HEADER_LEN, sections[3].1))
+    Ok(())
+}
+
+/// Opens a stream that must hold `want`: checks magic and version, the
+/// footer, and the header and config CRCs (both a few dozen bytes), then
+/// the kind byte — after its CRC, so a flipped kind byte is reported as
+/// corruption, not as a kind mismatch. The data and blocks sections are
+/// left to the caller: [`verify_body`] hashes them whole for the eager
+/// loaders, the cold reader verifies them piece by piece.
+fn open_stream(b: &[u8], want: StreamKind) -> Result<[Section; 4], MbiError> {
+    let found = StreamKind::of(b)?;
+    let sections = parse_footer(b)?;
+    for (&name, &(start, end, crc)) in SECTIONS.iter().zip(&sections).take(2) {
+        verify_crc(b, start..end, crc, name)?;
+    }
+    if found != want {
+        return Err(MbiError::KindMismatch { expected: want, found });
+    }
+    Ok(sections)
+}
+
+/// Verifies the CRCs of the data and blocks sections.
+fn verify_body(b: &[u8], sections: &[Section; 4]) -> Result<(), MbiError> {
+    for (&name, &(start, end, crc)) in SECTIONS.iter().zip(sections).skip(2) {
+        verify_crc(b, start..end, crc, name)?;
+    }
+    Ok(())
 }
 
 fn rd_u32(b: &[u8], off: usize) -> u32 {
@@ -328,12 +415,47 @@ fn rd_u64(b: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(b[off..off + 8].try_into().expect("8 bytes"))
 }
 
-pub(crate) fn rd_i64(b: &[u8], off: usize) -> i64 {
+fn rd_i64(b: &[u8], off: usize) -> i64 {
     i64::from_le_bytes(b[off..off + 8].try_into().expect("8 bytes"))
 }
 
-pub(crate) fn rd_f32(b: &[u8], off: usize) -> f32 {
+fn rd_f32(b: &[u8], off: usize) -> f32 {
     f32::from_le_bytes(b[off..off + 4].try_into().expect("4 bytes"))
+}
+
+/// Reads `n` consecutive f32s at `off`.
+fn f32s_at(b: &[u8], off: usize, n: usize) -> Vec<f32> {
+    (0..n).map(|i| rd_f32(b, off + i * 4)).collect()
+}
+
+/// Validates an inverse-norm column of `rows` f32s at `off`: every value
+/// finite and non-negative.
+fn check_inv_norms(b: &[u8], off: usize, rows: usize) -> Result<(), MbiError> {
+    check_f32s(b, off, rows, "inverse norm", |x| x.is_finite() && x >= 0.0)
+}
+
+/// Validates one leaf's SQ8 scalars at `cols`: finite mins, finite
+/// non-negative deltas and row norms. (Every code byte is valid.)
+fn check_sq8(b: &[u8], cols: &LeafCols, dim: usize, rows: usize) -> Result<(), MbiError> {
+    check_f32s(b, cols.sq8_mins, dim, "sq8 min", f32::is_finite)?;
+    check_f32s(b, cols.sq8_deltas, dim, "sq8 delta", |x| x.is_finite() && x >= 0.0)?;
+    check_f32s(b, cols.sq8_norms, rows, "sq8 row norm", |x| x.is_finite() && x >= 0.0)
+}
+
+fn check_f32s(
+    b: &[u8],
+    off: usize,
+    n: usize,
+    what: &str,
+    ok: impl Fn(f32) -> bool,
+) -> Result<(), MbiError> {
+    for i in 0..n {
+        let x = rd_f32(b, off + i * 4);
+        if !ok(x) {
+            return Err(MbiError::corrupt(off + i * 4, format!("invalid {what} {x}")));
+        }
+    }
+    Ok(())
 }
 
 impl MbiIndex {
@@ -364,55 +486,13 @@ impl MbiIndex {
         Self::load_from(&mut f)
     }
 
-    /// Serialises the index into one contiguous buffer (v5: checksummed
-    /// sections + footer).
+    /// Serialises the index into one contiguous buffer (an index-kind v7
+    /// stream; see the module docs).
     pub fn to_bytes(&self) -> Bytes {
-        self.encode(VERSION)
-    }
-
-    /// Serialises in the pre-norm-column v2 layout. Kept (hidden) so the
-    /// backward-compatibility tests can produce genuine v2 streams.
-    #[doc(hidden)]
-    pub fn to_bytes_v2(&self) -> Bytes {
-        self.encode(2)
-    }
-
-    /// Serialises in the unchecksummed v3 layout (hidden, for
-    /// backward-compatibility tests).
-    #[doc(hidden)]
-    pub fn to_bytes_v3(&self) -> Bytes {
-        self.encode(3)
-    }
-
-    /// Serialises in the checksummed pre-SQ8 v5 layout (hidden, for
-    /// backward-compatibility tests).
-    #[doc(hidden)]
-    pub fn to_bytes_v5(&self) -> Bytes {
-        self.encode(5)
-    }
-
-    /// Serialises in the pre-cold-tier v6 layout (hidden, for
-    /// backward-compatibility tests).
-    #[doc(hidden)]
-    pub fn to_bytes_v6(&self) -> Bytes {
-        self.encode(6)
-    }
-
-    fn encode(&self, version: u32) -> Bytes {
-        let body_version = match version {
-            v if v >= 7 => TIER_BODY_VERSION,
-            6 => SQ8_BODY_VERSION,
-            5 => INDEX_BODY_VERSION,
-            v => v,
-        };
         let mut b = BytesMut::with_capacity(128 + self.data_bytes() + self.index_memory_bytes());
-        b.put_slice(MAGIC);
-        b.put_u32_le(version);
-        if version >= 5 {
-            b.put_u8(KIND_INDEX);
-        }
+        write_header(&mut b, StreamKind::Index);
         let mut bounds = vec![0, b.len()];
-        write_config(&mut b, &self.config, body_version);
+        write_config(&mut b, &self.config);
         bounds.push(b.len());
 
         let n = self.timestamps.len();
@@ -423,16 +503,14 @@ impl MbiIndex {
         for &v in self.store.as_flat() {
             b.put_f32_le(v);
         }
-        if body_version >= 3 {
-            match self.store.inv_norms() {
-                Some(inv) => {
-                    b.put_u8(1);
-                    for &x in inv {
-                        b.put_f32_le(x);
-                    }
+        match self.store.inv_norms() {
+            Some(inv) => {
+                b.put_u8(1);
+                for &x in inv {
+                    b.put_f32_le(x);
                 }
-                None => b.put_u8(0),
             }
+            None => b.put_u8(0),
         }
         bounds.push(b.len());
 
@@ -447,102 +525,56 @@ impl MbiIndex {
             write_graph(&mut b, &block.graph);
         }
         bounds.push(b.len());
-        if version >= 5 {
-            write_footer(&mut b, &bounds);
-        }
+        write_footer(&mut b, &bounds);
         b.freeze()
     }
 
-    /// Deserialises an index from one contiguous buffer.
+    /// Deserialises an index from one contiguous buffer. Fails with
+    /// [`MbiError::KindMismatch`] on a snapshot stream.
     pub fn from_bytes(b: Bytes) -> Result<Self, MbiError> {
-        let mut src = Src::new(b.clone());
-        src.need(8)?;
-        let mut magic = [0u8; 4];
-        src.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(MbiError::corrupt(0, "bad magic"));
-        }
-        let version = src.get_u32_le();
-        match version {
-            2 | 3 => decode_index_body(&mut src, version),
-            4 => Err(src.corrupt("version 4 streams hold a snapshot, not an index")),
-            5..=7 => {
-                src.need(1)?;
-                if src.get_u8() != KIND_INDEX {
-                    return Err(MbiError::corrupt(8, "stream holds a snapshot, not an index"));
-                }
-                let (start, end) = verify_v5(&b)?;
-                let mut src = Src::with_base(b.slice(start..end), start);
-                let body = match version {
-                    7 => TIER_BODY_VERSION,
-                    6 => SQ8_BODY_VERSION,
-                    _ => INDEX_BODY_VERSION,
-                };
-                decode_index_body(&mut src, body)
-            }
-            v => Err(MbiError::corrupt(4, format!("unsupported version {v}"))),
-        }
+        let sections = open_stream(&b, StreamKind::Index)?;
+        verify_body(&b, &sections)?;
+        decode_index_body(&b, &sections)
     }
 }
 
-/// Decodes an index body (config / data / blocks) laid out as
-/// `body_version` (2 or 3), consuming `src` exactly.
-fn decode_index_body(src: &mut Src, body_version: u32) -> Result<MbiIndex, MbiError> {
-    debug_assert!(
-        (OLDEST_READABLE_VERSION..=INDEX_BODY_VERSION).contains(&body_version)
-            || body_version == SQ8_BODY_VERSION
-            || body_version == TIER_BODY_VERSION
-    );
-    let config = read_config(src, body_version)?;
+/// Decodes an index stream's config, data and blocks sections, consuming
+/// each exactly.
+fn decode_index_body(b: &[u8], sections: &[Section; 4]) -> Result<MbiIndex, MbiError> {
+    let config = read_config(b, sections[1])?;
 
+    let mut src = RawSrc::new(b, sections[2].0, sections[2].1);
     src.need(8)?;
     let n = src.get_u64_le() as usize;
-    src.need(n.checked_mul(8).ok_or_else(|| overflow(src))?)?;
-    let mut timestamps = Vec::with_capacity(n);
-    for _ in 0..n {
-        timestamps.push(src.get_i64_le());
+    let ts_start = src.pos;
+    src.need(n.checked_mul(8).ok_or_else(|| src.overflow())?)?;
+    let timestamps: Vec<i64> = (0..n).map(|_| src.get_i64_le()).collect();
+    if let Some(i) = timestamps.windows(2).position(|pair| pair[1] < pair[0]) {
+        return Err(MbiError::corrupt(ts_start + (i + 1) * 8, "timestamps not sorted"));
     }
-    for (i, pair) in timestamps.windows(2).enumerate() {
-        if pair[1] < pair[0] {
-            return Err(MbiError::corrupt(src.offset() - (n - i - 1) * 8, "timestamps not sorted"));
-        }
-    }
-    let floats = n.checked_mul(config.dim).ok_or_else(|| overflow(src))?;
-    src.need(floats.checked_mul(4).ok_or_else(|| overflow(src))?)?;
-    let mut flat = Vec::with_capacity(floats);
-    for _ in 0..floats {
-        flat.push(src.get_f32_le());
-    }
-    let has_norms = if body_version >= 3 {
-        src.need(1)?;
-        src.get_u8() != 0
-    } else {
-        false
-    };
-    let mut store = if has_norms {
-        src.need(n.checked_mul(4).ok_or_else(|| overflow(src))?)?;
-        let mut inv = Vec::with_capacity(n);
-        for _ in 0..n {
-            let x = src.get_f32_le();
-            if !x.is_finite() || x < 0.0 {
-                return Err(MbiError::corrupt(
-                    src.offset() - 4,
-                    format!("invalid inverse norm {x}"),
-                ));
-            }
-            inv.push(x);
-        }
+    let floats = n.checked_mul(config.dim).ok_or_else(|| src.overflow())?;
+    src.need(floats.checked_mul(4).ok_or_else(|| src.overflow())?)?;
+    let flat = f32s_at(b, src.pos, floats);
+    src.pos += floats * 4;
+    src.need(1)?;
+    let has_norms = src.get_u8() != 0;
+    let store = if has_norms {
+        src.need(n * 4)?;
+        check_inv_norms(b, src.pos, n)?;
+        let inv = f32s_at(b, src.pos, n);
+        src.pos += n * 4;
         VectorStore::from_flat_with_inv_norms(config.dim, flat, inv)
     } else {
         VectorStore::from_flat(config.dim, flat)
     };
-    // v2 streams (and v3 streams written without the column) predate the
-    // cache; angular indexes recompute it so loaded indexes query
-    // identically to freshly built ones.
-    if config.metric == Metric::Angular && !store.has_norm_cache() {
-        store.enable_norm_cache();
+    if config.metric == Metric::Angular && !has_norms {
+        return Err(src.corrupt("angular index lacks norm column"));
+    }
+    if src.has_remaining() {
+        return Err(src.corrupt("trailing bytes in data section"));
     }
 
+    let mut src = RawSrc::new(b, sections[3].0, sections[3].1);
     src.need(16)?;
     let num_leaves = src.get_u64_le() as usize;
     let num_blocks = src.get_u64_le() as usize;
@@ -557,10 +589,10 @@ fn decode_index_body(src: &mut Src, body_version: u32) -> Result<MbiIndex, MbiEr
         let height = src.get_u32_le();
         let start_ts = src.get_i64_le();
         let end_ts = src.get_i64_le();
-        if start > end || end > n || end_ts <= start_ts {
+        if start > end || end > n {
             return Err(src.corrupt("invalid block bounds"));
         }
-        let graph = read_graph(src, end - start)?;
+        let graph = read_graph(&mut src, end - start)?;
         blocks.push(Block { rows: start..end, height, start_ts, end_ts, graph });
     }
     if src.has_remaining() {
@@ -600,108 +632,13 @@ impl IndexSnapshot {
         Self::load_from(&mut f)
     }
 
-    /// Serialises the snapshot into one contiguous buffer (v7: checksummed
-    /// sections + footer over page-aligned, directory-indexed leaf records
-    /// that a [`crate::tier::ColdIndex`] can serve straight off disk).
+    /// Serialises the snapshot into one contiguous buffer: a leaf directory
+    /// with per-piece CRCs, then one page-aligned, self-contained record per
+    /// leaf (timestamps, rows, optional norm and SQ8 columns, the leaf
+    /// block's graph), then the block metadata with a graph directory and
+    /// the internal-block graphs — a stream a [`crate::tier::ColdIndex`] can
+    /// serve straight off disk.
     pub fn to_bytes(&self) -> Bytes {
-        self.encode_v7()
-    }
-
-    /// Serialises in the unchecksummed v4 layout (hidden, for
-    /// backward-compatibility tests).
-    #[doc(hidden)]
-    pub fn to_bytes_v4(&self) -> Bytes {
-        self.encode(SNAPSHOT_BODY_VERSION)
-    }
-
-    /// Serialises in the checksummed pre-SQ8 v5 layout (hidden, for
-    /// backward-compatibility tests).
-    #[doc(hidden)]
-    pub fn to_bytes_v5(&self) -> Bytes {
-        self.encode(5)
-    }
-
-    /// Serialises in the pre-cold-tier v6 layout (hidden, for
-    /// backward-compatibility tests).
-    #[doc(hidden)]
-    pub fn to_bytes_v6(&self) -> Bytes {
-        self.encode(6)
-    }
-
-    /// Encodes the legacy (≤ v6) streaming layouts — one leaf after another
-    /// with no alignment or per-piece directory.
-    fn encode(&self, version: u32) -> Bytes {
-        debug_assert!(version < TIER_BODY_VERSION, "v7 snapshots use encode_v7");
-        let body_version = if version >= 6 { SQ8_BODY_VERSION } else { SNAPSHOT_BODY_VERSION };
-        let config = self.config();
-        let s_l = config.leaf_size;
-        let store = self.store();
-        let mut b = BytesMut::with_capacity(128 + store.memory_bytes());
-        b.put_slice(MAGIC);
-        b.put_u32_le(version);
-        if version >= 5 {
-            b.put_u8(KIND_SNAPSHOT);
-        }
-        let mut bounds = vec![0, b.len()];
-        write_config(&mut b, config, body_version);
-        bounds.push(b.len());
-        b.put_u64_le(self.num_leaves() as u64);
-        b.put_u64_le(s_l as u64);
-        let has_norms = store.segments().first().is_some_and(|s| s.has_norm_cache());
-        b.put_u8(u8::from(has_norms));
-        let has_sq8 = body_version >= SQ8_BODY_VERSION && store.has_sq8();
-        if body_version >= SQ8_BODY_VERSION {
-            b.put_u8(u8::from(has_sq8));
-        }
-        for (seg, chunk) in store.segments().iter().zip(self.times().chunks()) {
-            for &t in chunk.iter() {
-                b.put_i64_le(t);
-            }
-            for &v in seg.as_flat() {
-                b.put_f32_le(v);
-            }
-            if has_norms {
-                let inv = seg.inv_norms().expect("norm flag implies a cached column");
-                for &x in inv {
-                    b.put_f32_le(x);
-                }
-            }
-            if has_sq8 {
-                let col = seg.sq8().expect("sq8 flag implies a uniform code column");
-                for &m in col.mins() {
-                    b.put_f32_le(m);
-                }
-                for &d in col.deltas() {
-                    b.put_f32_le(d);
-                }
-                b.put_slice(col.codes());
-                for &n2 in col.row_norm2() {
-                    b.put_f32_le(n2);
-                }
-            }
-        }
-        bounds.push(b.len());
-        b.put_u64_le(self.blocks().len() as u64);
-        for block in self.blocks() {
-            b.put_u64_le(block.rows.start as u64);
-            b.put_u64_le(block.rows.end as u64);
-            b.put_u32_le(block.height);
-            b.put_i64_le(block.start_ts);
-            b.put_i64_le(block.end_ts);
-            write_graph(&mut b, &block.graph);
-        }
-        bounds.push(b.len());
-        if version >= 5 {
-            write_footer(&mut b, &bounds);
-        }
-        b.freeze()
-    }
-
-    /// Encodes the v7 layout: a leaf directory with per-piece CRCs, then one
-    /// page-aligned, self-contained record per leaf (timestamps, rows,
-    /// optional norm and SQ8 columns, the leaf block's graph), then the
-    /// block metadata with a graph directory and the internal-block graphs.
-    fn encode_v7(&self) -> Bytes {
         let config = self.config();
         let dim = config.dim;
         let s_l = config.leaf_size;
@@ -793,11 +730,9 @@ impl IndexSnapshot {
                 .next_multiple_of(PAGE)
                 + num_leaves * PAGE,
         );
-        b.put_slice(MAGIC);
-        b.put_u32_le(VERSION);
-        b.put_u8(KIND_SNAPSHOT);
+        write_header(&mut b, StreamKind::Snapshot);
         let mut bounds = vec![0, b.len()];
-        write_config(&mut b, config, TIER_BODY_VERSION);
+        write_config(&mut b, config);
         bounds.push(b.len());
 
         let data_start = b.len();
@@ -868,150 +803,65 @@ impl IndexSnapshot {
         b.freeze()
     }
 
-    /// Deserialises a snapshot from one contiguous buffer. Accepts the
-    /// native checksummed v5 layout, the unchecksummed v4 layout, plus
-    /// v2/v3/v5 [`MbiIndex`] streams (converted via
-    /// [`IndexSnapshot::from_index`] — fails with [`MbiError::UnsealedTail`]
-    /// if the stored index has tail rows).
+    /// Deserialises a snapshot from one contiguous buffer, eagerly: every
+    /// section CRC is verified and every column is copied into RAM. Fails
+    /// with [`MbiError::KindMismatch`] on an index stream (convert a loaded
+    /// [`MbiIndex`] with [`IndexSnapshot::from_index`] instead).
     pub fn from_bytes(b: Bytes) -> Result<Self, MbiError> {
-        let mut src = Src::new(b.clone());
-        src.need(8)?;
-        let mut magic = [0u8; 4];
-        src.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(MbiError::corrupt(0, "bad magic"));
-        }
-        let version = src.get_u32_le();
-        match version {
-            // Pre-v4 streams are whole MbiIndex streams, re-read from the top.
-            2 | 3 => IndexSnapshot::from_index(&MbiIndex::from_bytes(b)?),
-            4 => decode_snapshot_body(&mut src, SNAPSHOT_BODY_VERSION),
-            5 | 6 => {
-                src.need(1)?;
-                let kind = src.get_u8();
-                let (start, end) = verify_v5(&b)?;
-                let body = if version >= 6 { SQ8_BODY_VERSION } else { SNAPSHOT_BODY_VERSION };
-                match kind {
-                    KIND_SNAPSHOT => {
-                        let mut src = Src::with_base(b.slice(start..end), start);
-                        decode_snapshot_body(&mut src, body)
-                    }
-                    KIND_INDEX => IndexSnapshot::from_index(&MbiIndex::from_bytes(b)?),
-                    k => Err(MbiError::corrupt(8, format!("unknown stream kind {k}"))),
-                }
+        let layout = parse_v7_layout(&b)?;
+        verify_body(&b, &parse_footer(&b)?)?;
+        let config = layout.config;
+        let dim = config.dim;
+        let seg_rows = layout.seg_rows;
+        let mut store = SegmentStore::new(dim, seg_rows);
+        for leaf in 0..layout.num_leaves {
+            let cols = layout.check_leaf(&b, leaf)?;
+            let flat = f32s_at(&b, cols.rows, seg_rows * dim);
+            let leaf_store = if layout.has_norms {
+                let inv = f32s_at(&b, cols.inv, seg_rows);
+                VectorStore::from_flat_with_inv_norms(dim, flat, inv)
+            } else {
+                VectorStore::from_flat(dim, flat)
+            };
+            let mut seg = Segment::from_store(leaf_store);
+            if layout.has_sq8 {
+                seg.attach_sq8(Sq8Column::from_parts(
+                    dim,
+                    b[cols.sq8_codes..cols.sq8_codes + seg_rows * dim].to_vec(),
+                    f32s_at(&b, cols.sq8_mins, dim),
+                    f32s_at(&b, cols.sq8_deltas, dim),
+                    f32s_at(&b, cols.sq8_norms, seg_rows),
+                ));
+            } else if config.sq8_scan {
+                // A quantizing engine must see a uniformly quantized store
+                // even when restoring from a stream written without codes.
+                seg.build_sq8();
             }
-            7 => {
-                src.need(1)?;
-                let kind = src.get_u8();
-                verify_v5(&b)?;
-                match kind {
-                    KIND_SNAPSHOT => decode_snapshot_v7(&b),
-                    KIND_INDEX => IndexSnapshot::from_index(&MbiIndex::from_bytes(b)?),
-                    k => Err(MbiError::corrupt(8, format!("unknown stream kind {k}"))),
-                }
-            }
-            v => Err(MbiError::corrupt(4, format!("unsupported version {v}"))),
+            store.push_segment(Arc::new(seg));
         }
-    }
-}
-
-/// Decodes a snapshot body (config / leaf records / blocks) in the v4 or v6
-/// layout, consuming `src` exactly.
-fn decode_snapshot_body(src: &mut Src, body_version: u32) -> Result<IndexSnapshot, MbiError> {
-    let config = read_config(src, body_version)?;
-    src.need(8 + 8 + 1)?;
-    let num_leaves = src.get_u64_le() as usize;
-    let seg_rows = src.get_u64_le() as usize;
-    if seg_rows != config.leaf_size {
-        return Err(src.corrupt(format!(
-            "segment rows {seg_rows} do not match leaf size {}",
-            config.leaf_size
-        )));
-    }
-    let has_norms = src.get_u8() != 0;
-    if config.metric == Metric::Angular && !has_norms {
-        return Err(src.corrupt("angular snapshot lacks norm column"));
-    }
-    let has_sq8 = if body_version >= SQ8_BODY_VERSION {
-        src.need(1)?;
-        src.get_u8() != 0
-    } else {
-        false
-    };
-    let leaf_bytes = seg_rows * 8
-        + seg_rows * config.dim * 4
-        + if has_norms { seg_rows * 4 } else { 0 }
-        + if has_sq8 { config.dim * 8 + seg_rows * config.dim + seg_rows * 4 } else { 0 };
-    let mut store = SegmentStore::new(config.dim, seg_rows);
-    let mut times = TimeChunks::new(seg_rows);
-    for _ in 0..num_leaves {
-        src.need(leaf_bytes)?;
-        let mut chunk = Vec::with_capacity(seg_rows);
-        for _ in 0..seg_rows {
-            chunk.push(src.get_i64_le());
+        let mut blocks = Vec::with_capacity(layout.blocks.len());
+        for meta in &layout.blocks {
+            blocks.push(Arc::new(Block {
+                rows: meta.rows.clone(),
+                height: meta.height,
+                start_ts: meta.start_ts,
+                end_ts: meta.end_ts,
+                graph: decode_graph_at(&b, meta.graph_off, meta.graph_len, meta.rows.len())?,
+            }));
         }
-        let mut flat = Vec::with_capacity(seg_rows * config.dim);
-        for _ in 0..seg_rows * config.dim {
-            flat.push(src.get_f32_le());
-        }
-        let leaf_store = if has_norms {
-            let mut inv = Vec::with_capacity(seg_rows);
-            for _ in 0..seg_rows {
-                let x = src.get_f32_le();
-                if !x.is_finite() || x < 0.0 {
-                    return Err(MbiError::corrupt(
-                        src.offset() - 4,
-                        format!("invalid inverse norm {x}"),
-                    ));
-                }
-                inv.push(x);
-            }
-            VectorStore::from_flat_with_inv_norms(config.dim, flat, inv)
-        } else {
-            VectorStore::from_flat(config.dim, flat)
+        let snap = IndexSnapshot {
+            config,
+            store,
+            times: layout.times,
+            blocks: blocks.into_iter().collect(),
+            num_leaves: layout.num_leaves,
         };
-        let mut seg = Segment::from_store(leaf_store);
-        if has_sq8 {
-            seg.attach_sq8(read_sq8_column(src, config.dim, seg_rows)?);
-        } else if config.sq8_scan {
-            // A quantizing engine must see a uniformly quantized store even
-            // when restoring from a pre-v6 (or hand-built exact) stream.
-            seg.build_sq8();
-        }
-        store.push_segment(Arc::new(seg));
-        times.push_chunk(chunk.into());
+        snap.validate().map_err(|detail| MbiError::corrupt(0, detail))?;
+        Ok(snap)
     }
-    src.need(8)?;
-    let num_blocks = src.get_u64_le() as usize;
-    let n = num_leaves * seg_rows;
-    let mut blocks = Vec::with_capacity(num_blocks.min(1 << 20));
-    for _ in 0..num_blocks {
-        src.need(8 * 2 + 4 + 8 * 2)?;
-        let start = src.get_u64_le() as usize;
-        let end = src.get_u64_le() as usize;
-        let height = src.get_u32_le();
-        let start_ts = src.get_i64_le();
-        let end_ts = src.get_i64_le();
-        if start > end || end > n || end_ts <= start_ts {
-            return Err(src.corrupt("invalid block bounds"));
-        }
-        let graph = read_graph(src, end - start)?;
-        blocks.push(Arc::new(Block { rows: start..end, height, start_ts, end_ts, graph }));
-    }
-    if src.has_remaining() {
-        return Err(src.corrupt("trailing bytes"));
-    }
-    let snap =
-        IndexSnapshot { config, store, times, blocks: blocks.into_iter().collect(), num_leaves };
-    snap.validate().map_err(|detail| MbiError::corrupt(0, detail))?;
-    Ok(snap)
 }
 
-fn overflow(src: &Src) -> MbiError {
-    src.corrupt("size overflow")
-}
-
-/// Zero-fills `b` up to absolute offset `target` (v7 page padding).
+/// Zero-fills `b` up to absolute offset `target` (page padding).
 fn pad_to(b: &mut BytesMut, target: usize) {
     const ZEROS: [u8; PAGE] = [0; PAGE];
     debug_assert!(target >= b.len());
@@ -1023,65 +873,9 @@ fn pad_to(b: &mut BytesMut, target: usize) {
     }
 }
 
-/// A bounded little-endian cursor over a raw byte slice — the borrow-only
-/// analogue of [`Src`] for the v7 directories, which must be parseable off a
-/// memory map without copying (or faulting) anything beyond themselves.
-/// Callers reserve with [`RawSrc::need`] before the `get_*` calls, exactly
-/// like [`Src`].
-struct RawSrc<'a> {
-    b: &'a [u8],
-    pos: usize,
-    end: usize,
-}
-
-impl<'a> RawSrc<'a> {
-    fn new(b: &'a [u8], pos: usize, end: usize) -> Self {
-        debug_assert!(pos <= end && end <= b.len());
-        RawSrc { b, pos, end }
-    }
-
-    fn corrupt(&self, detail: impl Into<String>) -> MbiError {
-        MbiError::corrupt(self.pos, detail)
-    }
-
-    fn need(&self, need: usize) -> Result<(), MbiError> {
-        if self.end - self.pos < need {
-            Err(self.corrupt(format!(
-                "truncated stream: need {need} bytes, have {}",
-                self.end - self.pos
-            )))
-        } else {
-            Ok(())
-        }
-    }
-
-    fn get_u8(&mut self) -> u8 {
-        let x = self.b[self.pos];
-        self.pos += 1;
-        x
-    }
-
-    fn get_u32_le(&mut self) -> u32 {
-        let x = rd_u32(self.b, self.pos);
-        self.pos += 4;
-        x
-    }
-
-    fn get_u64_le(&mut self) -> u64 {
-        let x = rd_u64(self.b, self.pos);
-        self.pos += 8;
-        x
-    }
-
-    fn get_i64_le(&mut self) -> i64 {
-        let x = rd_i64(self.b, self.pos);
-        self.pos += 8;
-        x
-    }
-}
-
-/// Where one leaf's record lives in a v7 stream: the page-aligned record
-/// offset, the co-located graph, and the per-piece CRCs from the directory.
+/// Where one leaf's record lives in a snapshot stream: the page-aligned
+/// record offset, the co-located graph, and the per-piece CRCs from the
+/// directory.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct V7Leaf {
     /// Absolute, page-aligned offset of the record (timestamps first).
@@ -1102,12 +896,12 @@ pub(crate) struct V7Leaf {
     pub(crate) crc_graph: u32,
 }
 
-/// One block's metadata from a v7 blocks section, graph unloaded: enough to
-/// run block selection and to fetch + verify the graph on demand.
+/// One block's metadata from a snapshot's blocks section, graph unloaded:
+/// enough to run block selection and to fetch + verify the graph on demand.
 #[derive(Clone, Debug)]
 pub(crate) struct V7BlockMeta {
     /// Global row range the block covers.
-    pub(crate) rows: std::ops::Range<usize>,
+    pub(crate) rows: Range<usize>,
     /// Height in the postorder tree (0 = leaf).
     pub(crate) height: u32,
     /// Minimum timestamp in the block.
@@ -1123,12 +917,27 @@ pub(crate) struct V7BlockMeta {
     pub(crate) graph_crc: u32,
 }
 
-/// The parsed geometry of a v7 snapshot stream: config, flags, and where
-/// every leaf record and block graph lives — everything a reader (eager or
-/// cold/mmap) needs to load pieces independently. Parsing verifies the
-/// footer, the header and config sections, and both directory CRCs, but
-/// never reads a record payload: opening a cold file faults only the
-/// directory pages.
+/// Absolute offsets of one leaf record's columns (the SQ8 ones are
+/// meaningful only when the stream has SQ8 columns).
+pub(crate) struct LeafCols {
+    /// f32 row column.
+    pub(crate) rows: usize,
+    /// Inverse-norm column.
+    pub(crate) inv: usize,
+    /// SQ8 per-dimension minimums (the start of the SQ8 group).
+    pub(crate) sq8_mins: usize,
+    /// SQ8 per-dimension deltas.
+    pub(crate) sq8_deltas: usize,
+    /// SQ8 decoded squared row norms.
+    pub(crate) sq8_norms: usize,
+    /// SQ8 `u8` code matrix.
+    pub(crate) sq8_codes: usize,
+}
+
+/// The parsed geometry of a snapshot stream: config, flags, where every
+/// leaf record and block graph lives, and the timestamp column — everything
+/// a reader (eager or cold/mmap) needs to load pieces independently.
+/// [`parse_v7_layout`] builds it.
 pub(crate) struct V7Layout {
     pub(crate) config: MbiConfig,
     pub(crate) num_leaves: usize,
@@ -1137,6 +946,9 @@ pub(crate) struct V7Layout {
     pub(crate) has_sq8: bool,
     pub(crate) leaves: Vec<V7Leaf>,
     pub(crate) blocks: Vec<V7BlockMeta>,
+    /// Every leaf's timestamps, CRC-verified, sorted, and consistent with
+    /// the block directory.
+    pub(crate) times: TimeChunks,
 }
 
 impl V7Layout {
@@ -1173,42 +985,44 @@ impl V7Layout {
     pub(crate) fn payload_len(&self) -> usize {
         self.ts_len() + self.rows_len() + self.inv_len() + self.sq8_len()
     }
+
+    /// Where leaf `leaf`'s columns start.
+    pub(crate) fn cols(&self, leaf: usize) -> LeafCols {
+        let rows = self.leaves[leaf].record_off + self.ts_len();
+        let inv = rows + self.rows_len();
+        let sq8_mins = inv + self.inv_len();
+        let sq8_deltas = sq8_mins + self.config.dim * 4;
+        let sq8_norms = sq8_deltas + self.config.dim * 4;
+        let sq8_codes = sq8_norms + self.seg_rows * 4;
+        LeafCols { rows, inv, sq8_mins, sq8_deltas, sq8_norms, sq8_codes }
+    }
+
+    /// Validates leaf `leaf`'s scalar side columns — inverse norms and SQ8
+    /// parameters — and returns where its columns start. Both readers run
+    /// this before building a segment; the cold reader first checks the
+    /// per-piece CRCs, the eager one has checked the whole data section.
+    pub(crate) fn check_leaf(&self, b: &[u8], leaf: usize) -> Result<LeafCols, MbiError> {
+        let cols = self.cols(leaf);
+        if self.has_norms {
+            check_inv_norms(b, cols.inv, self.seg_rows)?;
+        }
+        if self.has_sq8 {
+            check_sq8(b, &cols, self.config.dim, self.seg_rows)?;
+        }
+        Ok(cols)
+    }
 }
 
-/// Parses a v7 snapshot stream's directories off a raw byte slice. See
-/// [`V7Layout`] for what is (and deliberately is not) verified here.
+/// Parses a snapshot stream's header, config and directories off a raw
+/// byte slice and reads its timestamp column. Verifies the footer, the
+/// header and config CRCs, both directory CRCs, the directory geometry, and
+/// each leaf's timestamp CRC, then checks the block directory against the
+/// timestamps ([`validate_block_shape`]). Never reads the rows, side
+/// columns or graphs: opening a cold file faults only the directory and
+/// timestamp pages.
 pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
-    if b.len() < HEADER_LEN {
-        return Err(MbiError::corrupt(b.len(), "truncated stream: no room for header"));
-    }
-    if &b[..4] != MAGIC {
-        return Err(MbiError::corrupt(0, "bad magic"));
-    }
-    let version = rd_u32(b, 4);
-    if !(TIER_BODY_VERSION..=VERSION).contains(&version) {
-        return Err(MbiError::corrupt(
-            4,
-            format!("version {version} stream has no tiered (v7) layout"),
-        ));
-    }
-    if b[8] != KIND_SNAPSHOT {
-        return Err(MbiError::corrupt(8, "cold open requires a snapshot stream"));
-    }
-    let sections = parse_footer(b)?;
-    // Header and config are a few dozen bytes: verify them eagerly.
-    for i in [0, 1] {
-        let (start, end, expected) = sections[i];
-        let got = crc32(&b[start..end]);
-        if got != expected {
-            return Err(MbiError::ChecksumMismatch { section: SECTIONS[i], expected, got });
-        }
-    }
-    let (c0, c1, _) = sections[1];
-    let mut cfg = Src::with_base(Bytes::from(b[c0..c1].to_vec()), c0);
-    let config = read_config(&mut cfg, TIER_BODY_VERSION)?;
-    if cfg.has_remaining() {
-        return Err(cfg.corrupt("trailing bytes in config section"));
-    }
+    let sections = open_stream(b, StreamKind::Snapshot)?;
+    let config = read_config(b, sections[1])?;
 
     let (d0, d1, _) = sections[2];
     let mut d = RawSrc::new(b, d0, d1);
@@ -1227,18 +1041,10 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
         return Err(MbiError::corrupt(d0 + 16, "angular snapshot lacks norm column"));
     }
     let ovf = |at: usize| MbiError::corrupt(at, "size overflow");
-    let dir_bytes = num_leaves.checked_mul(LEAF_DIR_ENTRY_LEN).ok_or_else(|| ovf(d.pos))?;
-    d.need(dir_bytes + 4)?;
+    let dir_bytes = num_leaves.checked_mul(LEAF_DIR_ENTRY_LEN).ok_or_else(|| d.overflow())?;
+    d.need(dir_bytes.saturating_add(4))?;
     let dir_end = d.pos + dir_bytes;
-    let stored_dir_crc = rd_u32(b, dir_end);
-    let got_dir_crc = crc32(&b[d0..dir_end]);
-    if got_dir_crc != stored_dir_crc {
-        return Err(MbiError::ChecksumMismatch {
-            section: "leaf directory",
-            expected: stored_dir_crc,
-            got: got_dir_crc,
-        });
-    }
+    verify_crc(b, d0..dir_end, rd_u32(b, dir_end), "leaf directory")?;
     let mut leaves = Vec::with_capacity(num_leaves);
     for _ in 0..num_leaves {
         leaves.push(V7Leaf {
@@ -1252,8 +1058,16 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
             crc_graph: d.get_u32_le(),
         });
     }
-    let layout_stub =
-        V7Layout { config, num_leaves, seg_rows, has_norms, has_sq8, leaves, blocks: Vec::new() };
+    let mut layout = V7Layout {
+        config,
+        num_leaves,
+        seg_rows,
+        has_norms,
+        has_sq8,
+        leaves,
+        blocks: Vec::new(),
+        times: TimeChunks::new(seg_rows),
+    };
     // Geometry: records are page-aligned, non-overlapping, graph contiguous
     // with its payload, everything inside the data section.
     let payload_len = seg_rows
@@ -1266,9 +1080,9 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
             }
         })
         .ok_or_else(|| ovf(d0))?;
-    debug_assert_eq!(payload_len, layout_stub.payload_len());
+    debug_assert_eq!(payload_len, layout.payload_len());
     let mut prev_end = dir_end + 4;
-    for (i, leaf) in layout_stub.leaves.iter().enumerate() {
+    for (i, leaf) in layout.leaves.iter().enumerate() {
         let at = d0 + 18 + i * LEAF_DIR_ENTRY_LEN;
         if leaf.record_off % PAGE != 0 {
             return Err(MbiError::corrupt(at, "leaf record not page-aligned"));
@@ -1291,42 +1105,30 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
     let mut s = RawSrc::new(b, b0, b1);
     s.need(8)?;
     let num_blocks = s.get_u64_le() as usize;
-    let entry_bytes = num_blocks.checked_mul(BLOCK_DIR_ENTRY_LEN).ok_or_else(|| ovf(s.pos))?;
-    s.need(entry_bytes + 4)?;
+    let entry_bytes = num_blocks.checked_mul(BLOCK_DIR_ENTRY_LEN).ok_or_else(|| s.overflow())?;
+    s.need(entry_bytes.saturating_add(4))?;
     let meta_end = s.pos + entry_bytes;
-    let stored_meta_crc = rd_u32(b, meta_end);
-    let got_meta_crc = crc32(&b[b0..meta_end]);
-    if got_meta_crc != stored_meta_crc {
-        return Err(MbiError::ChecksumMismatch {
-            section: "block directory",
-            expected: stored_meta_crc,
-            got: got_meta_crc,
-        });
-    }
-    let n = num_leaves.checked_mul(seg_rows).ok_or_else(|| ovf(b0))?;
-    let mut blocks = Vec::with_capacity(num_blocks);
+    verify_crc(b, b0..meta_end, rd_u32(b, meta_end), "block directory")?;
     let mut leaf_ix = 0usize;
     let mut prev_graph_end = meta_end + 4;
     for i in 0..num_blocks {
         let at = b0 + 8 + i * BLOCK_DIR_ENTRY_LEN;
-        let start = s.get_u64_le() as usize;
-        let end = s.get_u64_le() as usize;
-        let height = s.get_u32_le();
-        let start_ts = s.get_i64_le();
-        let end_ts = s.get_i64_le();
-        let graph_off = s.get_u64_le() as usize;
-        let graph_len = s.get_u64_le() as usize;
-        let graph_crc = s.get_u32_le();
-        if start > end || end > n || end_ts <= start_ts {
-            return Err(MbiError::corrupt(at, "invalid block bounds"));
-        }
-        if height == 0 {
-            let Some(leaf) = layout_stub.leaves.get(leaf_ix) else {
+        let meta = V7BlockMeta {
+            rows: s.get_u64_le() as usize..s.get_u64_le() as usize,
+            height: s.get_u32_le(),
+            start_ts: s.get_i64_le(),
+            end_ts: s.get_i64_le(),
+            graph_off: s.get_u64_le() as usize,
+            graph_len: s.get_u64_le() as usize,
+            graph_crc: s.get_u32_le(),
+        };
+        if meta.height == 0 {
+            let Some(leaf) = layout.leaves.get(leaf_ix) else {
                 return Err(MbiError::corrupt(at, "more leaf blocks than leaf records"));
             };
-            if graph_off != leaf.graph_off
-                || graph_len != leaf.graph_len
-                || graph_crc != leaf.crc_graph
+            if meta.graph_off != leaf.graph_off
+                || meta.graph_len != leaf.graph_len
+                || meta.graph_crc != leaf.crc_graph
             {
                 return Err(MbiError::corrupt(
                     at,
@@ -1335,38 +1137,38 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
             }
             leaf_ix += 1;
         } else {
-            if graph_off < prev_graph_end {
+            if meta.graph_off < prev_graph_end {
                 return Err(MbiError::corrupt(at, "overlapping block graphs"));
             }
-            let graph_end = graph_off.checked_add(graph_len).ok_or_else(|| ovf(at))?;
+            let graph_end = meta.graph_off.checked_add(meta.graph_len).ok_or_else(|| ovf(at))?;
             if graph_end > b1 {
                 return Err(MbiError::corrupt(at, "block graph overruns blocks section"));
             }
             prev_graph_end = graph_end;
         }
-        blocks.push(V7BlockMeta {
-            rows: start..end,
-            height,
-            start_ts,
-            end_ts,
-            graph_off,
-            graph_len,
-            graph_crc,
-        });
+        layout.blocks.push(meta);
     }
     if leaf_ix != num_leaves {
         return Err(MbiError::corrupt(b0, "leaf record count does not match height-0 blocks"));
     }
-    Ok(V7Layout { blocks, ..layout_stub })
+
+    // The timestamp column is what block selection and window partitioning
+    // read on every query, at 8 bytes/row: verify and copy it now.
+    for leaf in &layout.leaves {
+        let ts = leaf.record_off..leaf.record_off + layout.ts_len();
+        verify_crc(b, ts.clone(), leaf.crc_ts, "leaf timestamps")?;
+        let chunk: Arc<[i64]> = ts.step_by(8).map(|off| rd_i64(b, off)).collect();
+        layout.times.push_chunk(chunk);
+    }
+    let shapes = layout.blocks.iter().map(|m| (m.rows.clone(), m.height, m.start_ts, m.end_ts));
+    validate_block_shape(seg_rows, num_leaves, shapes, &layout.times)
+        .map_err(|detail| MbiError::corrupt(b0, detail))?;
+    Ok(layout)
 }
 
-/// Eagerly decodes a v7 snapshot stream into an in-RAM [`IndexSnapshot`].
-/// The caller has already run [`verify_v5`], so every byte is
-/// CRC-authenticated; this path owns all columns (no mapping).
-/// Decodes one serialized block graph living at `off..off + len` of a v7
-/// stream — the cold tier's lazy-load path. The graph bytes are copied into
-/// an owned buffer (graph decoding builds owned adjacency anyway);
-/// `block_len` is the owning block's row count, used for edge validation.
+/// Decodes one serialized block graph living at `off..off + len` of a
+/// snapshot stream, in place; `block_len` is the owning block's row count,
+/// used for edge validation.
 pub(crate) fn decode_graph_at(
     b: &[u8],
     off: usize,
@@ -1377,7 +1179,7 @@ pub(crate) fn decode_graph_at(
         .checked_add(len)
         .filter(|&e| e <= b.len())
         .ok_or_else(|| MbiError::corrupt(off, "graph range out of bounds"))?;
-    let mut gs = Src::with_base(Bytes::from(b[off..end].to_vec()), off);
+    let mut gs = RawSrc::new(b, off, end);
     let graph = read_graph(&mut gs, block_len)?;
     if gs.has_remaining() {
         return Err(gs.corrupt("trailing bytes after block graph"));
@@ -1385,155 +1187,7 @@ pub(crate) fn decode_graph_at(
     Ok(graph)
 }
 
-fn decode_snapshot_v7(b: &Bytes) -> Result<IndexSnapshot, MbiError> {
-    let layout = parse_v7_layout(b)?;
-    let config = layout.config;
-    let dim = config.dim;
-    let seg_rows = layout.seg_rows;
-    let mut store = SegmentStore::new(dim, seg_rows);
-    let mut times = TimeChunks::new(seg_rows);
-    for leaf in &layout.leaves {
-        let mut off = leaf.record_off;
-        let mut chunk = Vec::with_capacity(seg_rows);
-        for r in 0..seg_rows {
-            chunk.push(rd_i64(b, off + r * 8));
-        }
-        off += layout.ts_len();
-        let mut flat = Vec::with_capacity(seg_rows * dim);
-        for r in 0..seg_rows * dim {
-            flat.push(rd_f32(b, off + r * 4));
-        }
-        off += layout.rows_len();
-        let leaf_store = if layout.has_norms {
-            let mut inv = Vec::with_capacity(seg_rows);
-            for r in 0..seg_rows {
-                let x = rd_f32(b, off + r * 4);
-                if !x.is_finite() || x < 0.0 {
-                    return Err(MbiError::corrupt(
-                        off + r * 4,
-                        format!("invalid inverse norm {x}"),
-                    ));
-                }
-                inv.push(x);
-            }
-            VectorStore::from_flat_with_inv_norms(dim, flat, inv)
-        } else {
-            VectorStore::from_flat(dim, flat)
-        };
-        off += layout.inv_len();
-        let mut seg = Segment::from_store(leaf_store);
-        if layout.has_sq8 {
-            seg.attach_sq8(read_sq8_column_v7(b, off, dim, seg_rows)?);
-        } else if config.sq8_scan {
-            // A quantizing engine must see a uniformly quantized store even
-            // when restoring from a stream written without codes.
-            seg.build_sq8();
-        }
-        store.push_segment(Arc::new(seg));
-        times.push_chunk(chunk.into());
-    }
-    let mut blocks = Vec::with_capacity(layout.blocks.len());
-    for meta in &layout.blocks {
-        let mut gs = Src::with_base(
-            b.slice(meta.graph_off..meta.graph_off + meta.graph_len),
-            meta.graph_off,
-        );
-        let graph = read_graph(&mut gs, meta.rows.len())?;
-        if gs.has_remaining() {
-            return Err(gs.corrupt("trailing bytes after block graph"));
-        }
-        blocks.push(Arc::new(Block {
-            rows: meta.rows.clone(),
-            height: meta.height,
-            start_ts: meta.start_ts,
-            end_ts: meta.end_ts,
-            graph,
-        }));
-    }
-    let snap = IndexSnapshot {
-        config,
-        store,
-        times,
-        blocks: blocks.into_iter().collect(),
-        num_leaves: layout.num_leaves,
-    };
-    snap.validate().map_err(|detail| MbiError::corrupt(0, detail))?;
-    Ok(snap)
-}
-
-/// Reads one leaf's SQ8 column group in v7 order (mins, deltas, row norms,
-/// codes) at absolute offset `off`, validating every value.
-fn read_sq8_column_v7(
-    b: &[u8],
-    off: usize,
-    dim: usize,
-    rows: usize,
-) -> Result<Sq8Column, MbiError> {
-    let mut at = off;
-    let mut mins = Vec::with_capacity(dim);
-    for _ in 0..dim {
-        let x = rd_f32(b, at);
-        if !x.is_finite() {
-            return Err(MbiError::corrupt(at, format!("invalid sq8 min {x}")));
-        }
-        mins.push(x);
-        at += 4;
-    }
-    let mut deltas = Vec::with_capacity(dim);
-    for _ in 0..dim {
-        let x = rd_f32(b, at);
-        if !x.is_finite() || x < 0.0 {
-            return Err(MbiError::corrupt(at, format!("invalid sq8 delta {x}")));
-        }
-        deltas.push(x);
-        at += 4;
-    }
-    let mut row_norm2 = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let x = rd_f32(b, at);
-        if !x.is_finite() || x < 0.0 {
-            return Err(MbiError::corrupt(at, format!("invalid sq8 row norm {x}")));
-        }
-        row_norm2.push(x);
-        at += 4;
-    }
-    let codes = b[at..at + rows * dim].to_vec();
-    Ok(Sq8Column::from_parts(dim, codes, mins, deltas, row_norm2))
-}
-
-/// Reads one leaf's SQ8 column (mins, deltas, codes, row norms), validating
-/// every value before [`Sq8Column::from_parts`] re-checks the shapes.
-fn read_sq8_column(src: &mut Src, dim: usize, rows: usize) -> Result<Sq8Column, MbiError> {
-    let mut mins = Vec::with_capacity(dim);
-    for _ in 0..dim {
-        let x = src.get_f32_le();
-        if !x.is_finite() {
-            return Err(MbiError::corrupt(src.offset() - 4, format!("invalid sq8 min {x}")));
-        }
-        mins.push(x);
-    }
-    let mut deltas = Vec::with_capacity(dim);
-    for _ in 0..dim {
-        let x = src.get_f32_le();
-        if !x.is_finite() || x < 0.0 {
-            return Err(MbiError::corrupt(src.offset() - 4, format!("invalid sq8 delta {x}")));
-        }
-        deltas.push(x);
-    }
-    let mut codes = vec![0u8; rows * dim];
-    src.copy_to_slice(&mut codes);
-    let mut row_norm2 = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let x = src.get_f32_le();
-        if !x.is_finite() || x < 0.0 {
-            return Err(MbiError::corrupt(src.offset() - 4, format!("invalid sq8 row norm {x}")));
-        }
-        row_norm2.push(x);
-    }
-    Ok(Sq8Column::from_parts(dim, codes, mins, deltas, row_norm2))
-}
-
-fn write_config(b: &mut BytesMut, c: &MbiConfig, body_version: u32) {
+fn write_config(b: &mut BytesMut, c: &MbiConfig) {
     b.put_u64_le(c.dim as u64);
     b.put_u8(metric_tag(c.metric));
     b.put_u64_le(c.leaf_size as u64);
@@ -1563,17 +1217,15 @@ fn write_config(b: &mut BytesMut, c: &MbiConfig, body_version: u32) {
     }
     b.put_u8(u8::from(c.parallel_build));
     b.put_u64_le(c.query_threads as u64);
-    if body_version >= SQ8_BODY_VERSION {
-        b.put_u8(u8::from(c.sq8_scan));
-        b.put_f32_le(c.sq8_overfetch);
-    }
-    if body_version >= TIER_BODY_VERSION {
-        b.put_u64_le(c.ram_budget_bytes);
-        b.put_u32_le(c.cache_shards.min(u32::MAX as usize) as u32);
-    }
+    b.put_u8(u8::from(c.sq8_scan));
+    b.put_f32_le(c.sq8_overfetch);
+    b.put_u64_le(c.ram_budget_bytes);
+    b.put_u32_le(c.cache_shards.min(u32::MAX as usize) as u32);
 }
 
-fn read_config(b: &mut Src, body_version: u32) -> Result<MbiConfig, MbiError> {
+/// Parses the config section, which must be consumed exactly.
+fn read_config(bytes: &[u8], (start, end, _): Section) -> Result<MbiConfig, MbiError> {
+    let b = &mut RawSrc::new(bytes, start, end);
     b.need(8 + 1 + 8 + 8 + 1)?;
     let dim = b.get_u64_le() as usize;
     if dim == 0 || dim > 1 << 20 {
@@ -1613,33 +1265,22 @@ fn read_config(b: &mut Src, body_version: u32) -> Result<MbiConfig, MbiError> {
         }
         t => return Err(b.corrupt(format!("unknown entry tag {t}"))),
     };
-    b.need(1 + 8)?;
+    b.need(1 + 8 + 1 + 4 + 8 + 4)?;
     let parallel_build = b.get_u8() != 0;
     let query_threads = b.get_u64_le() as usize;
-    // Pre-v6 records predate the SQ8 knobs; they load with the defaults.
-    let (sq8_scan, sq8_overfetch) = if body_version >= SQ8_BODY_VERSION {
-        b.need(1 + 4)?;
-        let scan = b.get_u8() != 0;
-        let overfetch = b.get_f32_le();
-        if !overfetch.is_finite() || overfetch < 1.0 {
-            return Err(b.corrupt(format!("sq8 overfetch {overfetch} out of range")));
-        }
-        (scan, overfetch)
-    } else {
-        (false, crate::config::default_sq8_overfetch())
-    };
-    // Pre-v7 records predate the cold tier; they load with the defaults.
-    let (ram_budget_bytes, cache_shards) = if body_version >= TIER_BODY_VERSION {
-        b.need(8 + 4)?;
-        let budget = b.get_u64_le();
-        let shards = b.get_u32_le() as usize;
-        if shards == 0 {
-            return Err(b.corrupt("zero cache shards"));
-        }
-        (budget, shards)
-    } else {
-        (u64::MAX, crate::config::default_cache_shards())
-    };
+    let sq8_scan = b.get_u8() != 0;
+    let sq8_overfetch = b.get_f32_le();
+    if !sq8_overfetch.is_finite() || sq8_overfetch < 1.0 {
+        return Err(b.corrupt(format!("sq8 overfetch {sq8_overfetch} out of range")));
+    }
+    let ram_budget_bytes = b.get_u64_le();
+    let cache_shards = b.get_u32_le() as usize;
+    if cache_shards == 0 || cache_shards > MAX_CACHE_SHARDS {
+        return Err(b.corrupt(format!("implausible cache shard count {cache_shards}")));
+    }
+    if b.has_remaining() {
+        return Err(b.corrupt("trailing bytes in config section"));
+    }
     Ok(MbiConfig {
         dim,
         metric,
@@ -1662,7 +1303,7 @@ fn write_hnsw_params(b: &mut BytesMut, p: &HnswParams) {
     b.put_u64_le(p.seed);
 }
 
-fn read_hnsw_params(b: &mut Src) -> Result<HnswParams, MbiError> {
+fn read_hnsw_params(b: &mut RawSrc<'_>) -> Result<HnswParams, MbiError> {
     b.need(24)?;
     Ok(HnswParams {
         m: b.get_u64_le() as usize,
@@ -1679,7 +1320,7 @@ fn metric_tag(m: Metric) -> u8 {
     }
 }
 
-fn metric_from_tag(b: &mut Src) -> Result<Metric, MbiError> {
+fn metric_from_tag(b: &mut RawSrc<'_>) -> Result<Metric, MbiError> {
     match b.get_u8() {
         0 => Ok(Metric::Euclidean),
         1 => Ok(Metric::Angular),
@@ -1720,19 +1361,19 @@ fn write_graph(b: &mut BytesMut, g: &BlockGraph) {
     }
 }
 
-fn read_graph(b: &mut Src, block_len: usize) -> Result<BlockGraph, MbiError> {
+fn read_graph(b: &mut RawSrc<'_>, block_len: usize) -> Result<BlockGraph, MbiError> {
     b.need(1)?;
     match b.get_u8() {
         0 => {
             b.need(16)?;
             let degree = b.get_u64_le() as usize;
             let len = b.get_u64_le() as usize;
-            if degree > 0 && len != degree * block_len {
+            if degree.checked_mul(block_len) != Some(len) {
                 return Err(b.corrupt(format!(
                     "graph size {len} does not match degree {degree} × block {block_len}"
                 )));
             }
-            b.need(len.checked_mul(4).ok_or_else(|| overflow(b))?)?;
+            b.need(len.checked_mul(4).ok_or_else(|| b.overflow())?)?;
             let mut flat = Vec::with_capacity(len);
             for _ in 0..len {
                 let x = b.get_u32_le();
@@ -1760,11 +1401,14 @@ fn read_graph(b: &mut Src, block_len: usize) -> Result<BlockGraph, MbiError> {
             for _ in 0..n {
                 b.need(2)?;
                 let layers = b.get_u16_le() as usize;
+                if layers == 0 {
+                    return Err(b.corrupt("hnsw node has no base layer"));
+                }
                 let mut node = Vec::with_capacity(layers);
                 for _ in 0..layers {
                     b.need(4)?;
                     let len = b.get_u32_le() as usize;
-                    b.need(len.checked_mul(4).ok_or_else(|| overflow(b))?)?;
+                    b.need(len.checked_mul(4).ok_or_else(|| b.overflow())?)?;
                     let mut layer = Vec::with_capacity(len);
                     for _ in 0..len {
                         let nb = b.get_u32_le();
@@ -1777,6 +1421,13 @@ fn read_graph(b: &mut Src, block_len: usize) -> Result<BlockGraph, MbiError> {
                 }
                 links.push(node);
             }
+            // The entry point carries the top layer; a deeper claimed
+            // `max_level` would walk empty layers, a shallower one would
+            // skip real ones.
+            let top = links.get(entry as usize).map_or(0, |node| node.len() - 1);
+            if max_level != top {
+                return Err(b.corrupt(format!("hnsw max level {max_level}, entry has {top}")));
+            }
             Ok(BlockGraph::Hnsw(HnswIndex::from_parts(params, metric, entry, max_level, links)))
         }
         t => Err(b.corrupt(format!("unknown graph tag {t}"))),
@@ -1784,11 +1435,75 @@ fn read_graph(b: &mut Src, block_len: usize) -> Result<BlockGraph, MbiError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::fail::{ErrorInjectingReader, ErrorInjectingWriter};
     use crate::index::QueryRequest;
     use crate::select::TimeWindow;
+    use crate::tier::ColdIndex;
+    use mbi_ann::FileMap;
+    use proptest::prelude::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::OnceLock;
+
+    /// Recomputes every checksum of `bad` at the positions `orig` keeps
+    /// them — per-piece CRCs, leaf- and block-directory CRCs, section CRCs,
+    /// the footer CRC — so a mutated copy of the valid stream `orig` (either
+    /// kind, same length) reaches the structural checks instead of failing
+    /// a checksum.
+    pub(crate) fn reseal(orig: &[u8], bad: &mut [u8]) {
+        fn put_crc(bad: &mut [u8], at: usize, over: Range<usize>) {
+            let crc = crc32(&bad[over]);
+            bad[at..at + 4].copy_from_slice(&crc.to_le_bytes());
+        }
+        assert_eq!(orig.len(), bad.len(), "reseal keeps the stream length");
+        let sections = parse_footer(orig).expect("orig is a valid stream");
+        if StreamKind::of(orig).expect("orig is a valid stream") == StreamKind::Snapshot {
+            let lay = parse_v7_layout(orig).expect("orig is a valid snapshot");
+            let (d0, b0) = (sections[2].0, sections[3].0);
+            for (i, leaf) in lay.leaves.iter().enumerate() {
+                let e = d0 + 18 + i * LEAF_DIR_ENTRY_LEN + 24;
+                let cols = lay.cols(i);
+                put_crc(bad, e, leaf.record_off..cols.rows);
+                put_crc(bad, e + 4, cols.rows..cols.inv);
+                if lay.has_norms {
+                    put_crc(bad, e + 8, cols.inv..cols.sq8_mins);
+                }
+                if lay.has_sq8 {
+                    put_crc(bad, e + 12, cols.sq8_mins..leaf.graph_off);
+                }
+                put_crc(bad, e + 16, leaf.graph_off..leaf.graph_off + leaf.graph_len);
+            }
+            let dir_end = d0 + 18 + lay.num_leaves * LEAF_DIR_ENTRY_LEN;
+            put_crc(bad, dir_end, d0..dir_end);
+            for (i, m) in lay.blocks.iter().enumerate() {
+                let e = b0 + 8 + i * BLOCK_DIR_ENTRY_LEN + 52;
+                put_crc(bad, e, m.graph_off..m.graph_off + m.graph_len);
+            }
+            let meta_end = b0 + 8 + lay.blocks.len() * BLOCK_DIR_ENTRY_LEN;
+            put_crc(bad, meta_end, b0..meta_end);
+        }
+        let footer_start = sections[3].1;
+        for (i, &(start, end, _)) in sections.iter().enumerate() {
+            put_crc(bad, footer_start + 1 + i * (1 + 8 + 4) + 9, start..end);
+        }
+        let total = orig.len();
+        put_crc(bad, total - 12, footer_start..total - 12);
+    }
+
+    /// Absolute offset of block `i`'s entry in a snapshot stream's block
+    /// directory.
+    pub(crate) fn block_entry(snapshot: &[u8], i: usize) -> usize {
+        parse_footer(snapshot).unwrap()[3].0 + 8 + i * BLOCK_DIR_ENTRY_LEN
+    }
+
+    /// `orig` with `patch` applied at `at`, resealed.
+    pub(crate) fn patched(orig: &[u8], at: usize, patch: &[u8]) -> Bytes {
+        let mut bad = orig.to_vec();
+        bad[at..at + patch.len()].copy_from_slice(patch);
+        reseal(orig, &mut bad);
+        Bytes::from(bad)
+    }
 
     fn build_index(backend: GraphBackend, n: usize) -> MbiIndex {
         let config = MbiConfig::new(3, Metric::Euclidean).with_leaf_size(16).with_backend(backend);
@@ -1871,29 +1586,28 @@ mod tests {
         let idx = build_index(GraphBackend::default(), 40);
         let mut raw = idx.to_bytes().to_vec();
         raw.extend_from_slice(b"junk");
-        // v5: the appended junk displaces the footer → bad footer magic.
+        // The appended junk displaces the footer → bad footer magic.
         let err = MbiIndex::from_bytes(Bytes::from(raw)).unwrap_err();
         assert!(err.to_string().contains("footer magic"), "{err}");
-        // Unchecksummed v3 surfaces it as trailing bytes, as before.
-        let mut raw = idx.to_bytes_v3().to_vec();
-        raw.extend_from_slice(b"junk");
-        let err = MbiIndex::from_bytes(Bytes::from(raw)).unwrap_err();
+        // A resealed stream whose blocks section claims one block fewer
+        // than it holds surfaces the last block's bytes as trailing bytes.
+        let raw = idx.to_bytes();
+        let blocks = parse_footer(&raw).unwrap()[3].0;
+        let fewer = (idx.blocks().len() as u64 - 1).to_le_bytes();
+        let err = MbiIndex::from_bytes(patched(&raw, blocks + 8, &fewer)).unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
     }
 
     #[test]
     fn rejects_unsorted_timestamps_with_offset() {
         let idx = build_index(GraphBackend::default(), 40);
-        // Corrupt a v3 stream (no checksums) so the *structural* check is
-        // what fires, and verify the reported offset points at the bad pair.
-        let mut raw = idx.to_bytes_v3().to_vec();
-        let empty = MbiIndex::new(*idx.config()).to_bytes_v3();
-        // minus n, norm-column flag, num_leaves, num_blocks
-        let header_len = empty.len() - 8 - 1 - 16;
-        let ts_start = header_len + 8; // after n
-        raw[ts_start..ts_start + 8].copy_from_slice(&1i64.to_le_bytes());
-        raw[ts_start + 8..ts_start + 16].copy_from_slice(&0i64.to_le_bytes());
-        let err = MbiIndex::from_bytes(Bytes::from(raw)).unwrap_err();
+        // Reseal the corrupted stream so the *structural* check is what
+        // fires, and verify the reported offset points at the bad pair.
+        let raw = idx.to_bytes();
+        let ts_start = parse_footer(&raw).unwrap()[2].0 + 8; // after n
+        let mut swapped = 1i64.to_le_bytes().to_vec();
+        swapped.extend_from_slice(&0i64.to_le_bytes());
+        let err = MbiIndex::from_bytes(patched(&raw, ts_start, &swapped)).unwrap_err();
         match err {
             MbiError::Corrupt { offset, ref detail } if detail.contains("not sorted") => {
                 assert_eq!(offset, ts_start + 8, "offset points at the out-of-order timestamp");
@@ -1911,6 +1625,27 @@ mod tests {
         assert!(err.to_string().contains("version"));
     }
 
+    #[test]
+    fn every_other_version_is_unsupported_by_all_three_loaders() {
+        let idx = build_index(GraphBackend::default(), 32);
+        let index_stream = idx.to_bytes();
+        let snap_stream = IndexSnapshot::from_index(&idx).unwrap().to_bytes();
+        for v in [2u32, 3, 4, 5, 6, 8] {
+            let want = format!("unsupported version {v}");
+            let index_v = patched(&index_stream, 4, &v.to_le_bytes());
+            let snap_v = patched(&snap_stream, 4, &v.to_le_bytes());
+            for stream in [&index_v, &snap_v] {
+                let err = MbiIndex::from_bytes(stream.clone()).unwrap_err();
+                assert!(err.to_string().contains(&want), "{err}");
+                let err = IndexSnapshot::from_bytes(stream.clone()).unwrap_err();
+                assert!(err.to_string().contains(&want), "{err}");
+                let map = Arc::new(FileMap::from_bytes(stream.to_vec()));
+                let err = ColdIndex::from_map(map).unwrap_err();
+                assert!(err.to_string().contains(&want), "{err}");
+            }
+        }
+    }
+
     fn build_angular_index(n: usize) -> MbiIndex {
         let config = MbiConfig::new(3, Metric::Angular).with_leaf_size(16);
         let mut idx = MbiIndex::new(config);
@@ -1922,7 +1657,7 @@ mod tests {
     }
 
     #[test]
-    fn v5_roundtrips_norm_column() {
+    fn roundtrips_norm_column() {
         let idx = build_angular_index(70);
         assert!(idx.store().has_norm_cache());
         let loaded = MbiIndex::from_bytes(idx.to_bytes()).unwrap();
@@ -1947,61 +1682,25 @@ mod tests {
     }
 
     #[test]
-    fn reads_v2_streams_and_recomputes_norms() {
-        let idx = build_angular_index(70);
-        let v2 = idx.to_bytes_v2();
-        assert!(v2.len() < idx.to_bytes().len(), "v2 must lack the norm column");
-        let loaded = MbiIndex::from_bytes(v2).unwrap();
-        // The column is recomputed on load, bit-identical to insert-time.
-        assert_eq!(loaded.store().inv_norms(), idx.store().inv_norms());
-        for (q, w) in [(0.3f32, (0i64, 60i64)), (0.9, (10, 50))] {
-            let qa =
-                idx.search(&QueryRequest::new(&[q, 0.2, -q], 5, TimeWindow::new(w.0, w.1))).results;
-            let qb = loaded
-                .search(&QueryRequest::new(&[q, 0.2, -q], 5, TimeWindow::new(w.0, w.1)))
-                .results;
-            assert_eq!(qa, qb);
-        }
-
-        // Euclidean v2 streams load without growing a cache.
-        let e = build_index(GraphBackend::default(), 40);
-        let loaded = MbiIndex::from_bytes(e.to_bytes_v2()).unwrap();
-        assert!(!loaded.store().has_norm_cache());
-        assert_same_answers(&e, &loaded);
-    }
-
-    #[test]
-    fn reads_v3_streams() {
-        let idx = build_angular_index(70);
-        let loaded = MbiIndex::from_bytes(idx.to_bytes_v3()).unwrap();
-        assert_eq!(loaded.store().inv_norms(), idx.store().inv_norms());
-        assert_eq!(loaded.to_bytes(), idx.to_bytes(), "re-save upgrades to v5 canonically");
-    }
-
-    #[test]
     fn rejects_corrupt_norm_column() {
         let idx = build_angular_index(40);
-        let empty = MbiIndex::new(*idx.config()).to_bytes_v3();
-        let header_len = empty.len() - 8 - 1 - 16;
+        let raw = idx.to_bytes();
         let n = idx.len();
         // Norm column starts after n, timestamps, floats, and the flag byte.
-        let norms_start = header_len + 8 + n * 8 + n * 3 * 4 + 1;
-        let mut raw = idx.to_bytes_v3().to_vec();
-        raw[norms_start..norms_start + 4].copy_from_slice(&f32::NAN.to_le_bytes());
-        let err = MbiIndex::from_bytes(Bytes::from(raw)).unwrap_err();
+        let norms_start = parse_footer(&raw).unwrap()[2].0 + 8 + n * 8 + n * 3 * 4 + 1;
+        let err =
+            MbiIndex::from_bytes(patched(&raw, norms_start, &f32::NAN.to_le_bytes())).unwrap_err();
         assert!(err.to_string().contains("inverse norm"), "{err}");
     }
 
     #[test]
-    fn v5_detects_any_section_flip_as_checksum_mismatch() {
+    fn detects_any_section_flip_as_checksum_mismatch() {
         let idx = build_index(GraphBackend::default(), 40);
         let raw = idx.to_bytes().to_vec();
         // One flip inside each region: kind byte (header section), config,
         // data (a vector float — structurally valid, only the CRC sees it),
-        // blocks. The float flip is the crucial case: pre-v5 it loaded as a
-        // silently different index.
-        let empty_body = MbiIndex::new(*idx.config()).to_bytes_v3().len() - 8 - 1 - 16;
-        let data_start = HEADER_LEN + (empty_body - 8); // after config
+        // blocks.
+        let data_start = parse_footer(&raw).unwrap()[2].0;
         let float_pos = data_start + 8 + idx.len() * 8 + 10; // inside the floats
         for (pos, expect_section) in [
             (8usize, "header"),
@@ -2025,7 +1724,7 @@ mod tests {
     }
 
     #[test]
-    fn v5_detects_footer_flips() {
+    fn detects_footer_flips() {
         let idx = build_index(GraphBackend::default(), 30);
         let raw = idx.to_bytes().to_vec();
         let n = raw.len();
@@ -2076,12 +1775,23 @@ mod tests {
         }
     }
 
+    /// The cold reader answers like the snapshot `snap` on the windows of
+    /// [`assert_same_snapshot_answers`].
+    fn assert_cold_answers(snap: &IndexSnapshot, cold: &ColdIndex) {
+        let params = snap.config().search;
+        for (q, w) in [(5.0f32, (0i64, 60i64)), (30.0, (10, 50)), (55.0, (40, 64))] {
+            let query = [q, 0.0, -q];
+            let req = QueryRequest::new(&query, 5, TimeWindow::new(w.0, w.1)).with_params(params);
+            assert_eq!(snap.search(&req).results, cold.search(&req).unwrap().results);
+        }
+    }
+
     #[test]
-    fn snapshot_v6_roundtrips() {
+    fn snapshot_roundtrips() {
         let snap = IndexSnapshot::from_index(&build_index(GraphBackend::default(), 64)).unwrap();
         let bytes = snap.to_bytes();
         assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), VERSION);
-        assert_eq!(bytes[8], KIND_SNAPSHOT);
+        assert_eq!(StreamKind::of(&bytes).unwrap(), StreamKind::Snapshot);
         let loaded = IndexSnapshot::from_bytes(bytes).unwrap();
         assert_eq!(loaded.validate(), Ok(()));
         assert_same_snapshot_answers(&snap, &loaded);
@@ -2144,39 +1854,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_reads_v6_streams() {
-        let snap = IndexSnapshot::from_index(&build_sq8_index(64)).unwrap();
-        let v6 = snap.to_bytes_v6();
-        assert_eq!(u32::from_le_bytes(v6[4..8].try_into().unwrap()), 6);
-        let loaded = IndexSnapshot::from_bytes(v6).unwrap();
-        assert_eq!(
-            loaded.config().ram_budget_bytes,
-            u64::MAX,
-            "pre-v7 streams load with tier knobs at their defaults"
-        );
-        for (a, b) in snap.store().segments().iter().zip(loaded.store().segments()) {
-            assert_eq!(a.sq8(), b.sq8(), "v6 code columns survive");
-        }
-        assert_same_snapshot_answers(&snap, &loaded);
-        assert_eq!(
-            &loaded.to_bytes()[..],
-            &snap.to_bytes()[..],
-            "a v6 load upgrades to the identical v7 stream"
-        );
-    }
-
-    #[test]
-    fn index_reads_v6_streams() {
-        let idx = build_index(GraphBackend::default(), 70);
-        let v6 = idx.to_bytes_v6();
-        assert_eq!(u32::from_le_bytes(v6[4..8].try_into().unwrap()), 6);
-        let loaded = MbiIndex::from_bytes(v6).unwrap();
-        assert_eq!(loaded.config().ram_budget_bytes, u64::MAX);
-        assert_eq!(loaded.config().cache_shards, 8);
-        assert_same_answers(&idx, &loaded);
-    }
-
-    #[test]
     fn v7_tier_knobs_roundtrip() {
         let config = MbiConfig::new(3, Metric::Euclidean)
             .with_leaf_size(16)
@@ -2197,29 +1874,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_reads_v5_streams_with_sq8_defaults() {
-        let snap = IndexSnapshot::from_index(&build_index(GraphBackend::default(), 64)).unwrap();
-        let v5 = snap.to_bytes_v5();
-        assert_eq!(u32::from_le_bytes(v5[4..8].try_into().unwrap()), 5);
-        let loaded = IndexSnapshot::from_bytes(v5).unwrap();
-        assert!(!loaded.config().sq8_scan, "pre-v6 streams load with SQ8 off");
-        assert_eq!(loaded.config().sq8_overfetch, 3.0);
-        assert!(!loaded.store().has_sq8());
-        assert_same_snapshot_answers(&snap, &loaded);
-    }
-
-    #[test]
-    fn index_reads_v5_streams_with_sq8_defaults() {
-        let idx = build_index(GraphBackend::default(), 70);
-        let v5 = idx.to_bytes_v5();
-        assert_eq!(u32::from_le_bytes(v5[4..8].try_into().unwrap()), 5);
-        let loaded = MbiIndex::from_bytes(v5).unwrap();
-        assert!(!loaded.config().sq8_scan);
-        assert_same_answers(&idx, &loaded);
-    }
-
-    #[test]
-    fn snapshot_v6_roundtrips_sq8_column() {
+    fn snapshot_roundtrips_sq8_column() {
         let config = MbiConfig::new(3, Metric::Euclidean).with_leaf_size(16).with_sq8_scan(true);
         let mut idx = MbiIndex::new(config);
         for i in 0..64 {
@@ -2238,70 +1893,36 @@ mod tests {
     }
 
     #[test]
-    fn quantizing_config_rebuilds_sq8_from_v5_stream() {
-        // A v5 stream carries no code column; if its config is upgraded to
-        // sq8_scan (here: via an index stream, whose conversion path seals
-        // segments through the engine), the loaded store must still be
-        // uniformly quantized.
-        let config = MbiConfig::new(3, Metric::Euclidean).with_leaf_size(16).with_sq8_scan(true);
-        let mut idx = MbiIndex::new(config);
-        for i in 0..48 {
-            let x = i as f32;
-            idx.insert(&[x, x * 0.5, -x], i as i64).unwrap();
-        }
-        let snap = IndexSnapshot::from_index(&idx).unwrap();
-        // Splice the v6 config (sq8_scan=true) body through the v4 layout:
-        // decode_snapshot_body must quantize on load.
-        let v4 = {
-            let mut b = BytesMut::new();
-            b.put_slice(MAGIC);
-            b.put_u32_le(6);
-            b.put_u8(KIND_SNAPSHOT);
-            let mut bounds = vec![0, b.len()];
-            write_config(&mut b, snap.config(), SQ8_BODY_VERSION);
-            bounds.push(b.len());
-            b.put_u64_le(snap.num_leaves() as u64);
-            b.put_u64_le(snap.config().leaf_size as u64);
-            b.put_u8(0); // no norms
-            b.put_u8(0); // no sq8 column despite sq8_scan=true
-            for (seg, chunk) in snap.store().segments().iter().zip(snap.times().chunks()) {
-                for &t in chunk.iter() {
-                    b.put_i64_le(t);
-                }
-                for &v in seg.as_flat() {
-                    b.put_f32_le(v);
-                }
+    fn quantizing_config_rebuilds_sq8_from_columnless_stream() {
+        // A stream written without a code column whose config asks for
+        // sq8_scan must still load as a uniformly quantized store, through
+        // both readers.
+        let rows: Vec<[f32; 3]> =
+            (0..48).map(|i| [i as f32, i as f32 * 0.5, -(i as f32)]).collect();
+        let build = |sq8: bool| {
+            let config = MbiConfig::new(3, Metric::Euclidean).with_leaf_size(16).with_sq8_scan(sq8);
+            let mut idx = MbiIndex::new(config);
+            for (i, r) in rows.iter().enumerate() {
+                idx.insert(r, i as i64).unwrap();
             }
-            bounds.push(b.len());
-            b.put_u64_le(snap.blocks().len() as u64);
-            for block in snap.blocks() {
-                b.put_u64_le(block.rows.start as u64);
-                b.put_u64_le(block.rows.end as u64);
-                b.put_u32_le(block.height);
-                b.put_i64_le(block.start_ts);
-                b.put_i64_le(block.end_ts);
-                write_graph(&mut b, &block.graph);
-            }
-            bounds.push(b.len());
-            write_footer(&mut b, &bounds);
-            b.freeze()
+            IndexSnapshot::from_index(&idx).unwrap()
         };
-        let loaded = IndexSnapshot::from_bytes(v4).unwrap();
+        let snap = build(true);
+        let exact = build(false).to_bytes();
+        assert!(!parse_v7_layout(&exact).unwrap().has_sq8);
+        // `sq8_scan` is the config record's byte before the overfetch f32,
+        // the budget u64 and the shard count u32.
+        let sq8_scan_at = parse_footer(&exact).unwrap()[1].1 - (4 + 8 + 4) - 1;
+        let stream = patched(&exact, sq8_scan_at, &[1]);
+        let loaded = IndexSnapshot::from_bytes(stream.clone()).unwrap();
+        assert!(loaded.config().sq8_scan);
         assert!(loaded.store().has_sq8(), "sq8_scan config quantizes columnless streams on load");
         assert_same_snapshot_answers(&snap, &loaded);
-    }
-
-    #[test]
-    fn snapshot_reads_v4_streams() {
-        let snap = IndexSnapshot::from_index(&build_angular_index(64)).unwrap();
-        let v4 = snap.to_bytes_v4();
-        assert_eq!(u32::from_le_bytes(v4[4..8].try_into().unwrap()), 4);
-        let loaded = IndexSnapshot::from_bytes(v4).unwrap();
-        assert!(loaded.store().has_norm_cache());
-        for (a, b) in snap.store().segments().iter().zip(loaded.store().segments()) {
-            assert_eq!(a.as_flat(), b.as_flat());
-            assert_eq!(a.inv_norms(), b.inv_norms());
-        }
+        let cold =
+            ColdIndex::from_map_with_budget(Arc::new(FileMap::from_bytes(stream.to_vec())), 0)
+                .unwrap();
+        assert!(cold.config().sq8_scan);
+        assert_cold_answers(&snap, &cold);
     }
 
     #[test]
@@ -2318,18 +1939,22 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_reads_index_streams() {
-        // An index stream (v3 or v5) loads as a snapshot when sealed …
+    fn snapshot_loader_rejects_index_streams() {
+        // An index stream is a kind mismatch for the snapshot loader; a
+        // sealed index converts through `from_index` instead …
         let idx = build_index(GraphBackend::default(), 64);
-        for bytes in [idx.to_bytes_v3(), idx.to_bytes()] {
-            let snap = IndexSnapshot::from_bytes(bytes).unwrap();
-            assert_eq!(snap.num_leaves(), idx.num_leaves());
-            assert_eq!(snap.validate(), Ok(()));
-            assert_same_snapshot_answers(&snap, &IndexSnapshot::from_index(&idx).unwrap());
+        match IndexSnapshot::from_bytes(idx.to_bytes()) {
+            Err(MbiError::KindMismatch {
+                expected: StreamKind::Snapshot,
+                found: StreamKind::Index,
+            }) => {}
+            other => panic!("expected KindMismatch, got {other:?}"),
         }
-        // … and surfaces the tail explicitly when not.
+        let snap = IndexSnapshot::from_index(&MbiIndex::from_bytes(idx.to_bytes()).unwrap());
+        assert_same_snapshot_answers(&snap.unwrap(), &IndexSnapshot::from_index(&idx).unwrap());
+        // … which surfaces the tail explicitly when not sealed.
         let with_tail = build_index(GraphBackend::default(), 70);
-        match IndexSnapshot::from_bytes(with_tail.to_bytes()) {
+        match IndexSnapshot::from_index(&with_tail) {
             Err(MbiError::UnsealedTail { tail_rows: 6 }) => {}
             other => panic!("expected UnsealedTail {{ 6 }}, got {other:?}"),
         }
@@ -2340,8 +1965,16 @@ mod tests {
         let snap = IndexSnapshot::from_index(&build_index(GraphBackend::default(), 32)).unwrap();
         let err = MbiIndex::from_bytes(snap.to_bytes()).unwrap_err();
         assert!(err.to_string().contains("snapshot"), "{err}");
-        let err = MbiIndex::from_bytes(snap.to_bytes_v4()).unwrap_err();
-        assert!(err.to_string().contains("snapshot"), "{err}");
+        assert!(matches!(err, MbiError::KindMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn flipped_kind_byte_is_corruption_not_a_kind_mismatch() {
+        let raw = build_index(GraphBackend::default(), 32).to_bytes();
+        let mut bad = raw.to_vec();
+        bad[8] = StreamKind::Snapshot.tag();
+        let err = IndexSnapshot::from_bytes(Bytes::from(bad)).unwrap_err();
+        assert!(matches!(err, MbiError::ChecksumMismatch { section: "header", .. }), "{err}");
     }
 
     #[test]
@@ -2357,5 +1990,182 @@ mod tests {
         let mut raw = full.to_vec();
         raw.extend_from_slice(b"junk");
         assert!(IndexSnapshot::from_bytes(Bytes::from(raw)).is_err());
+    }
+
+    #[test]
+    fn knn_degree_with_top_bit_set_is_an_error_not_a_panic() {
+        // degree × block_len wraps back to the stored length when the top
+        // bit of the degree is set; the size check must not wrap with it.
+        let idx = build_index(GraphBackend::default(), 40);
+        let raw = idx.to_bytes();
+        // blocks := num_leaves num_blocks, then block 0's 36-byte header
+        // and graph tag; the degree u64 follows.
+        let degree_at = parse_footer(&raw).unwrap()[3].0 + 16 + 36 + 1;
+        let degree = rd_u64(&raw, degree_at) | 1 << 63;
+        let err = MbiIndex::from_bytes(patched(&raw, degree_at, &degree.to_le_bytes()));
+        assert!(err.unwrap_err().to_string().contains("degree"));
+
+        let sealed = build_index(GraphBackend::default(), 32);
+        let snap = IndexSnapshot::from_index(&sealed).unwrap().to_bytes();
+        let leaf0 = parse_v7_layout(&snap).unwrap().leaves[0];
+        let degree = rd_u64(&snap, leaf0.graph_off + 1) | 1 << 63;
+        let bad = patched(&snap, leaf0.graph_off + 1, &degree.to_le_bytes());
+        assert!(IndexSnapshot::from_bytes(bad.clone()).is_err());
+        let cold = ColdIndex::from_map_with_budget(Arc::new(FileMap::from_bytes(bad.to_vec())), 0)
+            .unwrap();
+        let req = QueryRequest::new(&[0.0; 3], 3, TimeWindow::new(0, 16));
+        assert!(cold.search(&req).unwrap_err().to_string().contains("degree"));
+    }
+
+    #[test]
+    fn hnsw_max_level_must_match_the_entry_node() {
+        // A max level past the entry node's layers would make every graph
+        // descent loop over the claimed (empty) layers: a flipped high byte
+        // would hang the query.
+        let idx = build_index(GraphBackend::Hnsw(HnswParams::default()), 32);
+        let raw = idx.to_bytes();
+        // blocks := num_leaves num_blocks, block 0's 36-byte header, then
+        // the graph: tag, params (24), metric, entry (4), max_level (u64).
+        let max_level_at = parse_footer(&raw).unwrap()[3].0 + 16 + 36 + 1 + 24 + 1 + 4;
+        let huge = rd_u64(&raw, max_level_at) | 0xff << 56;
+        let err = MbiIndex::from_bytes(patched(&raw, max_level_at, &huge.to_le_bytes()));
+        assert!(err.unwrap_err().to_string().contains("hnsw max level"));
+    }
+
+    #[test]
+    fn implausible_cache_shard_count_is_rejected_not_allocated() {
+        let snap = IndexSnapshot::from_index(&build_index(GraphBackend::default(), 48)).unwrap();
+        let raw = snap.to_bytes();
+        let shards_at = parse_footer(&raw).unwrap()[1].1 - 4;
+        let bad = patched(&raw, shards_at, &((1u32 << 31) + 8).to_le_bytes());
+        let err = IndexSnapshot::from_bytes(bad.clone()).unwrap_err();
+        assert!(err.to_string().contains("cache shard"), "{err}");
+        let err = ColdIndex::from_map(Arc::new(FileMap::from_bytes(bad.to_vec()))).unwrap_err();
+        assert!(err.to_string().contains("cache shard"), "{err}");
+        let zero = patched(&raw, shards_at, &0u32.to_le_bytes());
+        assert!(IndexSnapshot::from_bytes(zero).is_err());
+    }
+
+    /// The fuzz corpus: one stream of each kind per backend — kNN blocks
+    /// over an SQ8 Euclidean config, HNSW blocks over an angular one —
+    /// 40 rows, so index streams carry a tail and snapshots two leaves.
+    fn fuzz_streams() -> &'static [(&'static str, Bytes)] {
+        static STREAMS: OnceLock<Vec<(&'static str, Bytes)>> = OnceLock::new();
+        STREAMS.get_or_init(|| {
+            let knn = GraphBackend::NnDescent(NnDescentParams {
+                degree: 4,
+                max_iters: 2,
+                ..Default::default()
+            });
+            let hnsw = GraphBackend::Hnsw(HnswParams { m: 4, ef_construction: 16, seed: 1 });
+            let mut out = Vec::new();
+            for (name, metric, backend, sq8) in [
+                ("knn-sq8", Metric::Euclidean, knn, true),
+                ("hnsw-angular", Metric::Angular, hnsw, false),
+            ] {
+                let config = MbiConfig::new(3, metric)
+                    .with_leaf_size(16)
+                    .with_backend(backend)
+                    .with_sq8_scan(sq8)
+                    .with_search(SearchParams::new(24, 1.2));
+                let mut idx = MbiIndex::new(config);
+                for i in 0..40 {
+                    let x = i as f32;
+                    idx.insert(&[(x * 0.31).sin() + 1.5, (x * 0.17).cos(), 0.1 * x], i).unwrap();
+                }
+                let mut sealed = MbiIndex::new(config);
+                for i in 0..32 {
+                    let row = &idx.store().as_flat()[i * 3..i * 3 + 3];
+                    sealed.insert(row, i as i64).unwrap();
+                }
+                let snap = IndexSnapshot::from_index(&sealed).unwrap();
+                out.push((name, idx.to_bytes()));
+                out.push((name, snap.to_bytes()));
+            }
+            out
+        })
+    }
+
+    /// Loads `bytes` through every reader — both eager loaders and the
+    /// cold reader at budget 0 — and queries whatever loads, once with a
+    /// k that makes block search scan and once with k = 1 over everything,
+    /// which walks the block graphs. Errors are fine; a panic propagates to
+    /// the caller.
+    fn load_and_query_everywhere(bytes: &Bytes) {
+        let q = [1.2f32, 0.4, 2.0];
+        let queries = [(4, TimeWindow::new(3, 37)), (1, TimeWindow::new(0, 40))];
+        if let Ok(idx) = MbiIndex::from_bytes(bytes.clone()) {
+            for (k, w) in queries {
+                idx.search(&QueryRequest::new(&q, k, w));
+                idx.exact_query(&q, k, w);
+            }
+        }
+        if let Ok(snap) = IndexSnapshot::from_bytes(bytes.clone()) {
+            for (k, w) in queries {
+                snap.search(&QueryRequest::new(&q, k, w));
+                snap.exact_query(&q, k, w);
+            }
+        }
+        let map = Arc::new(FileMap::from_bytes(bytes.to_vec()));
+        if let Ok(cold) = ColdIndex::from_map_with_budget(map, 0) {
+            for (k, w) in queries {
+                let _ = cold.search(&QueryRequest::new(&q, k, w));
+                let _ = cold.exact_query(&q, k, w);
+            }
+        }
+    }
+
+    /// Runs [`load_and_query_everywhere`] on `orig` with `orig[pos] ^= x`,
+    /// resealed; returns the panic message, if any.
+    fn resealed_flip_panics(orig: &Bytes, pos: usize, x: u8) -> Option<String> {
+        let mut bad = orig.to_vec();
+        bad[pos] ^= x;
+        reseal(orig, &mut bad);
+        let bad = Bytes::from(bad);
+        catch_unwind(AssertUnwindSafe(|| load_and_query_everywhere(&bad))).err().map(|p| {
+            p.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Any resealed single-byte flip of either stream kind, under
+        /// either backend, loads and queries through both eager readers and
+        /// the cold reader without a panic (or an abort, which would take
+        /// the test process down).
+        #[test]
+        fn resealed_flips_never_panic(
+            pick in 0usize..4,
+            pos_seed in any::<u64>(),
+            x in 1u8..=255,
+        ) {
+            let (name, orig) = &fuzz_streams()[pick];
+            let pos = (pos_seed % orig.len() as u64) as usize;
+            let panic = resealed_flip_panics(orig, pos, x);
+            prop_assert!(panic.is_none(), "{} stream, byte {} ^ {:#04x}: {:?}", name, pos, x, panic);
+        }
+    }
+
+    /// The exhaustive version of [`resealed_flips_never_panic`]: every byte
+    /// of every corpus stream × {0x01, 0x80, 0xff}. Slow in debug builds;
+    /// run it in release with `--include-ignored`.
+    #[test]
+    #[ignore = "exhaustive; run in release with --include-ignored"]
+    fn resealed_flip_sweep_never_panics() {
+        let mut panics = Vec::new();
+        for (name, orig) in fuzz_streams() {
+            for pos in 0..orig.len() {
+                for x in [0x01u8, 0x80, 0xff] {
+                    if let Some(msg) = resealed_flip_panics(orig, pos, x) {
+                        panics.push(format!("{name}, byte {pos} ^ {x:#04x}: {msg}"));
+                    }
+                }
+            }
+        }
+        assert!(panics.is_empty(), "{} panics:\n{}", panics.len(), panics.join("\n"));
     }
 }

@@ -6,8 +6,10 @@
 //! the header, config, directories, and the timestamp column (8 bytes/row —
 //! the selection and windowing floor) are touched at open. Leaf records and
 //! internal-block graphs are loaded on demand, verified against their
-//! per-section CRCs, and cached as zero-copy [`Col`]-backed segments under
-//! the RAM budget of [`MbiConfig::ram_budget_bytes`].
+//! per-piece CRCs, and cached as zero-copy [`Col`]-backed segments under
+//! the RAM budget of [`MbiConfig::ram_budget_bytes`]. The structural checks
+//! are the eager [`IndexSnapshot::from_bytes`] reader's own (see
+//! [`crate::persist`]), so the two readers reject the same streams.
 //!
 //! Because MBI's block selection names every block a query will touch
 //! *before* any distance math runs, the selection doubles as a prefetch
@@ -24,6 +26,7 @@
 //! snapshot serialised.
 //!
 //! [`IndexSnapshot`]: crate::engine::IndexSnapshot
+//! [`IndexSnapshot::from_bytes`]: crate::engine::IndexSnapshot::from_bytes
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -40,13 +43,9 @@ use crate::block::Block;
 use crate::config::MbiConfig;
 use crate::error::MbiError;
 use crate::index::{QueryOutput, QueryRequest, TknnResult};
-use crate::persist::{
-    decode_graph_at, parse_v7_layout, rd_f32, rd_i64, V7BlockMeta, V7Layout, PAGE,
-};
+use crate::persist::{decode_graph_at, parse_v7_layout, verify_crc, V7BlockMeta, V7Layout, PAGE};
 use crate::query_exec::QueryTarget;
 use crate::select::{select_blocks, BlockMeta, SearchBlockSet, TimeWindow};
-use crate::times::TimeChunks;
-use crate::wal::crc32;
 use crate::Timestamp;
 
 impl BlockMeta for V7BlockMeta {
@@ -290,13 +289,12 @@ impl Borrow<Block> for ColdSlot {
     }
 }
 
-/// Shared core of a cold index: the map, parsed layout, eager timestamp
-/// column, and the block cache. Owned by [`ColdIndex`] and weakly by the
-/// prefetch thread.
+/// Shared core of a cold index: the map, parsed layout (with the eager
+/// timestamp column), and the block cache. Owned by [`ColdIndex`] and
+/// weakly by the prefetch thread.
 struct ColdCore {
     map: Arc<FileMap>,
     layout: V7Layout,
-    times: TimeChunks,
     cache: BlockCache,
     /// `block_of_leaf[leaf ordinal]` = postorder index of its height-0 block.
     block_of_leaf: Vec<usize>,
@@ -313,22 +311,6 @@ struct ColdCore {
 }
 
 impl ColdCore {
-    /// Verifies the stored CRC of `b[off..off + len]` — for mapped backing
-    /// this read *is* the disk I/O of the piece.
-    fn verify_crc(
-        &self,
-        off: usize,
-        len: usize,
-        expected: u32,
-        section: &'static str,
-    ) -> Result<(), MbiError> {
-        let got = crc32(&self.map.bytes()[off..off + len]);
-        if got != expected {
-            return Err(MbiError::ChecksumMismatch { section, expected, got });
-        }
-        Ok(())
-    }
-
     /// The file span a leaf's record occupies (page-rounded, graph
     /// included) — the unit of residency accounting and `madvise`.
     fn leaf_span(&self, leaf: usize) -> Range<usize> {
@@ -336,48 +318,41 @@ impl ColdCore {
         l.record_off..(l.graph_off + l.graph_len).next_multiple_of(PAGE)
     }
 
-    /// Decodes leaf `leaf`: CRC-verify each section over the mapped bytes,
-    /// then build a zero-copy segment plus its height-0 block.
+    /// Decodes leaf `leaf`: CRC-verify each piece over the mapped bytes —
+    /// for mapped backing this read *is* the disk I/O of the piece — run the
+    /// shared side-column checks, then build a zero-copy segment plus its
+    /// height-0 block.
     fn load_leaf(&self, leaf: usize) -> Result<LoadedPiece, MbiError> {
         let lay = &self.layout;
         let l = &lay.leaves[leaf];
         let b = self.map.bytes();
         let dim = lay.config.dim;
         let rows = lay.seg_rows;
-        let rows_off = l.record_off + lay.ts_len();
-        let inv_off = rows_off + lay.rows_len();
-        let sq8_off = inv_off + lay.inv_len();
+        let cols = lay.cols(leaf);
+        verify_crc(b, cols.rows..cols.inv, l.crc_rows, "leaf rows")?;
+        if lay.has_norms {
+            verify_crc(b, cols.inv..cols.sq8_mins, l.crc_inv, "leaf norms")?;
+        }
+        if lay.has_sq8 {
+            verify_crc(b, cols.sq8_mins..l.graph_off, l.crc_sq8, "leaf sq8")?;
+        }
+        verify_crc(b, l.graph_off..l.graph_off + l.graph_len, l.crc_graph, "block graph")?;
+        lay.check_leaf(b, leaf)?;
 
-        self.verify_crc(rows_off, lay.rows_len(), l.crc_rows, "leaf rows")?;
-        let data = Col::mapped(self.map.clone(), rows_off, rows * dim)
-            .map_err(|e| MbiError::corrupt(rows_off, e))?;
-
-        let inv_norms = if lay.has_norms {
-            self.verify_crc(inv_off, lay.inv_len(), l.crc_inv, "leaf norms")?;
-            for r in 0..rows {
-                let x = rd_f32(b, inv_off + r * 4);
-                if !x.is_finite() || x < 0.0 {
-                    return Err(MbiError::corrupt(
-                        inv_off + r * 4,
-                        format!("invalid inverse norm {x}"),
-                    ));
-                }
-            }
-            Some(
-                Col::mapped(self.map.clone(), inv_off, rows)
-                    .map_err(|e| MbiError::corrupt(inv_off, e))?,
-            )
-        } else {
-            None
-        };
-
+        let map = &self.map;
+        let inv_norms = if lay.has_norms { Some(mapped_col(map, cols.inv, rows)?) } else { None };
         let sq8 = if lay.has_sq8 {
-            self.verify_crc(sq8_off, lay.sq8_len(), l.crc_sq8, "leaf sq8")?;
-            Some(self.map_sq8(sq8_off, dim, rows)?)
+            Some(Sq8Column::from_cols(
+                dim,
+                mapped_col(map, cols.sq8_codes, rows * dim)?,
+                mapped_col(map, cols.sq8_mins, dim)?,
+                mapped_col(map, cols.sq8_deltas, dim)?,
+                mapped_col(map, cols.sq8_norms, rows)?,
+            ))
         } else {
             None
         };
-
+        let data = mapped_col(map, cols.rows, rows * dim)?;
         let mut seg = Segment::from_cols(dim, data, inv_norms, sq8);
         if !lay.has_sq8 && lay.config.sq8_scan {
             // A quantizing config must see a uniformly quantized store even
@@ -385,7 +360,6 @@ impl ColdCore {
             seg.build_sq8();
         }
 
-        self.verify_crc(l.graph_off, l.graph_len, l.crc_graph, "block graph")?;
         let graph = decode_graph_at(b, l.graph_off, l.graph_len, rows)?;
         let meta = &lay.blocks[self.block_of_leaf[leaf]];
         let block = Arc::new(Block {
@@ -403,58 +377,17 @@ impl ColdCore {
         Ok(LoadedPiece { piece: Piece::Leaf(Arc::new(seg), block), bytes, advise: Some(span) })
     }
 
-    /// Maps one leaf's SQ8 column group (v7 order: mins, deltas, row norms,
-    /// codes), validating every scalar like the eager decoder does.
-    fn map_sq8(&self, sq8_off: usize, dim: usize, rows: usize) -> Result<Sq8Column, MbiError> {
-        let b = self.map.bytes();
-        let mins_off = sq8_off;
-        let deltas_off = mins_off + dim * 4;
-        let norms_off = deltas_off + dim * 4;
-        let codes_off = norms_off + rows * 4;
-        for i in 0..dim {
-            let x = rd_f32(b, mins_off + i * 4);
-            if !x.is_finite() {
-                return Err(MbiError::corrupt(mins_off + i * 4, format!("invalid sq8 min {x}")));
-            }
-            let x = rd_f32(b, deltas_off + i * 4);
-            if !x.is_finite() || x < 0.0 {
-                return Err(MbiError::corrupt(
-                    deltas_off + i * 4,
-                    format!("invalid sq8 delta {x}"),
-                ));
-            }
-        }
-        for r in 0..rows {
-            let x = rd_f32(b, norms_off + r * 4);
-            if !x.is_finite() || x < 0.0 {
-                return Err(MbiError::corrupt(
-                    norms_off + r * 4,
-                    format!("invalid sq8 row norm {x}"),
-                ));
-            }
-        }
-        fn col<T: mbi_ann::mapped::Plain>(
-            map: &Arc<FileMap>,
-            off: usize,
-            len: usize,
-        ) -> Result<Col<T>, MbiError> {
-            Col::mapped(map.clone(), off, len).map_err(|e| MbiError::corrupt(off, e))
-        }
-        Ok(Sq8Column::from_cols(
-            dim,
-            col(&self.map, codes_off, rows * dim)?,
-            col(&self.map, mins_off, dim)?,
-            col(&self.map, deltas_off, dim)?,
-            col(&self.map, norms_off, rows)?,
-        ))
-    }
-
     /// Decodes the graph of internal block `bi` into an owned [`Block`].
     fn load_graph(&self, bi: usize) -> Result<LoadedPiece, MbiError> {
         let meta = &self.layout.blocks[bi];
-        self.verify_crc(meta.graph_off, meta.graph_len, meta.graph_crc, "block graph")?;
-        let graph =
-            decode_graph_at(self.map.bytes(), meta.graph_off, meta.graph_len, meta.rows.len())?;
+        let b = self.map.bytes();
+        verify_crc(
+            b,
+            meta.graph_off..meta.graph_off + meta.graph_len,
+            meta.graph_crc,
+            "block graph",
+        )?;
+        let graph = decode_graph_at(b, meta.graph_off, meta.graph_len, meta.rows.len())?;
         let block = Arc::new(Block {
             rows: meta.rows.clone(),
             height: meta.height,
@@ -581,6 +514,15 @@ impl ColdCore {
     }
 }
 
+/// A zero-copy column of `len` values at byte `off` of the map.
+fn mapped_col<T: mbi_ann::mapped::Plain>(
+    map: &Arc<FileMap>,
+    off: usize,
+    len: usize,
+) -> Result<Col<T>, MbiError> {
+    Col::mapped(map.clone(), off, len).map_err(|e| MbiError::corrupt(off, e))
+}
+
 /// The advise thread: receives resolved covers and issues
 /// `madvise(WILLNEED)` for every cold span so the kernel starts readahead
 /// while the query's pin walk is still decoding earlier pieces. Decode
@@ -693,27 +635,6 @@ impl ColdIndex {
         }
         let config = layout.config;
 
-        // The timestamp column is the floor of the cold tier: selection and
-        // window partitioning touch it on every query, and at 8 bytes/row it
-        // is ~d/2 times smaller than the vectors. Verify and copy it now so
-        // queries never fault timestamp pages.
-        let mut times = TimeChunks::new(layout.seg_rows);
-        for leaf in &layout.leaves {
-            let ts_len = layout.ts_len();
-            let got = crc32(&map.bytes()[leaf.record_off..leaf.record_off + ts_len]);
-            if got != leaf.crc_ts {
-                return Err(MbiError::ChecksumMismatch {
-                    section: "leaf timestamps",
-                    expected: leaf.crc_ts,
-                    got,
-                });
-            }
-            let chunk: Arc<[Timestamp]> = (0..layout.seg_rows)
-                .map(|r| rd_i64(map.bytes(), leaf.record_off + r * 8))
-                .collect();
-            times.push_chunk(chunk);
-        }
-
         let block_of_leaf: Vec<usize> = layout
             .blocks
             .iter()
@@ -744,7 +665,6 @@ impl ColdIndex {
         let core = Arc::new(ColdCore {
             map,
             layout,
-            times,
             cache,
             block_of_leaf,
             hot_floor,
@@ -849,7 +769,7 @@ impl ColdIndex {
             let target = QueryTarget {
                 config: &lay.config,
                 store: &store,
-                times: &core.times,
+                times: &lay.times,
                 blocks: &slots,
                 num_leaves: lay.num_leaves,
             };
@@ -879,8 +799,8 @@ impl ColdIndex {
     ) -> Result<Vec<TknnResult>, MbiError> {
         let core = &*self.core;
         let lay = &core.layout;
-        let lo = core.times.partition_below(window.start);
-        let hi = core.times.partition_below(window.end);
+        let lo = lay.times.partition_below(window.start);
+        let hi = lay.times.partition_below(window.end);
         let keys: Vec<PieceKey> = if lo < hi {
             (lo / lay.seg_rows..hi.div_ceil(lay.seg_rows)).map(PieceKey::Leaf).collect()
         } else {
@@ -892,7 +812,7 @@ impl ColdIndex {
             let target = QueryTarget {
                 config: &lay.config,
                 store: &store,
-                times: &core.times,
+                times: &lay.times,
                 blocks: &slots,
                 num_leaves: lay.num_leaves,
             };
@@ -918,6 +838,7 @@ mod tests {
     use super::*;
     use crate::engine::IndexSnapshot;
     use crate::index::MbiIndex;
+    use crate::persist::tests::{block_entry, patched};
     use mbi_math::Metric;
 
     fn build_snapshot(metric: Metric, n: usize, budget: u64, sq8: bool) -> IndexSnapshot {
@@ -1217,8 +1138,32 @@ mod tests {
     #[test]
     fn rejects_pre_v7_streams() {
         let snap = build_snapshot(Metric::Euclidean, 64, u64::MAX, false);
-        let bytes = snap.to_bytes_v6().to_vec();
+        let bytes = patched(&snap.to_bytes(), 4, &6u32.to_le_bytes()).to_vec();
         let err = ColdIndex::from_map(Arc::new(FileMap::from_bytes(bytes))).unwrap_err();
-        assert!(err.to_string().contains("no tiered"), "{err}");
+        assert!(err.to_string().contains("unsupported version 6"), "{err}");
+    }
+
+    #[test]
+    fn rejects_index_streams_as_a_kind_mismatch() {
+        let config = MbiConfig::new(3, Metric::Euclidean).with_leaf_size(16);
+        let bytes = MbiIndex::new(config).to_bytes().to_vec();
+        let err = ColdIndex::from_map(Arc::new(FileMap::from_bytes(bytes))).unwrap_err();
+        assert!(matches!(err, MbiError::KindMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn bad_block_height_is_rejected_at_open_like_the_eager_reader() {
+        // Block 2 is the height-1 parent of leaves 0 and 1. A cold reader
+        // that opened this stream would index past its block array on the
+        // first query, so both readers must reject it, with the same error.
+        let snap = build_snapshot(Metric::Euclidean, 32, u64::MAX, false);
+        let raw = snap.to_bytes();
+        // The height field sits after the entry's two u64 row bounds.
+        let bad = patched(&raw, block_entry(&raw, 2) + 16, &254u32.to_le_bytes());
+        let want = "block 2: expected rows 0..32 height 1, found 0..32 height 254";
+        let err = IndexSnapshot::from_bytes(bad.clone()).unwrap_err();
+        assert!(err.to_string().contains(want), "{err}");
+        let err = ColdIndex::from_map(Arc::new(FileMap::from_bytes(bad.to_vec()))).unwrap_err();
+        assert!(err.to_string().contains(want), "{err}");
     }
 }

@@ -66,8 +66,8 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC32 (IEEE) of `data` — the checksum used by WAL records and the v5
-/// persistence footer.
+/// CRC32 (IEEE) of `data` — the checksum used by WAL records and the
+/// persist format's sections, directories and footer.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &byte in data {

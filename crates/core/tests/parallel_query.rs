@@ -148,7 +148,7 @@ proptest! {
             prop_assert!((r.dist - scalar).abs() <= 1e-5, "{} vs {}", r.dist, scalar);
             prop_assert!(window.contains(r.timestamp));
         }
-        // Round-tripping through the v3 norm column changes nothing.
+        // Round-tripping through the persisted norm column changes nothing.
         let loaded = MbiIndex::from_bytes(idx.to_bytes()).unwrap();
         let reloaded = loaded.search(&QueryRequest::new(&query, k, window).with_params(params).with_threads(1));
         prop_assert_eq!(&sequential.results, &reloaded.results);

@@ -99,7 +99,7 @@ proptest! {
         prop_assert_eq!(again.len(), n + extra);
     }
 
-    /// Any single-byte corruption of a v5 stream is rejected — every byte
+    /// Any single-byte corruption of a stream is rejected — every byte
     /// of the stream is covered by a section CRC, the footer CRC, or a
     /// structural check, so no flip can load as a silently different index
     /// (and none may panic).
@@ -119,7 +119,7 @@ proptest! {
         prop_assert!(res.is_err(), "flip at byte {} bit {} accepted", pos, bit);
     }
 
-    /// Any truncation of a v5 stream is rejected (the footer pins the exact
+    /// Any truncation of a stream is rejected (the footer pins the exact
     /// length), and so is any truncation of a snapshot stream.
     #[test]
     fn any_truncation_is_rejected(

@@ -103,8 +103,8 @@ fn bitflip_fuzz_never_panics() {
         let bit = 1u8 << (x >> 40 & 7);
         let mut corrupted = bytes.clone();
         corrupted[pos] ^= bit;
-        // v5 streams are section-checksummed: *every* flip — including one
-        // in the vector payload, which pre-v5 loaded as a silently
+        // Streams are section-checksummed: *every* flip — including one in
+        // the vector payload, which would otherwise load as a silently
         // different index — must surface as an error, never a panic.
         let res = MbiIndex::from_bytes(bytes::Bytes::from(corrupted));
         assert!(res.is_err(), "flip at byte {pos} (bit mask {bit:#04x}) accepted");
