@@ -67,9 +67,10 @@ impl IngestSummary {
     /// Panics if the engine recorded no insert latencies (no inserts ran, or
     /// `EngineConfig::record_insert_latency` was disabled).
     pub fn from_engine_stats(stats: &EngineStats) -> Self {
+        let micros = |nanos: &[u64]| nanos.iter().map(|&n| n / 1_000).collect::<Vec<_>>();
         IngestSummary::from_micros(
-            &stats.insert_micros,
-            &stats.build_micros,
+            &micros(&stats.insert_nanos),
+            &micros(&stats.build_nanos),
             stats.seals as u64,
             stats.inline_builds,
         )

@@ -60,7 +60,7 @@ impl LatencyRecorder {
 
     /// Records one latency observation already expressed in microseconds —
     /// for replaying samples captured elsewhere (e.g.
-    /// `mbi_core::EngineStats::insert_micros`).
+    /// `mbi_core::EngineStats::insert_nanos` divided by 1 000).
     pub fn record_micros(&mut self, us: u64) {
         self.micros.push(us);
         self.stats.push(us as f64);

@@ -127,8 +127,12 @@ pub struct ServerConfig {
     pub default_deadline: Option<Duration>,
     /// Idle-connection deadline (the slow-loris guard): a connection that
     /// sends no complete request for this long is dropped and counted in
-    /// `idle_dropped`. `None` = no deadline. Replication subscriptions are
-    /// exempt (they are idle by design between pushes).
+    /// `idle_dropped`. The clock restarts at each reply, so each request
+    /// must arrive whole within this long of the previous reply (or of the
+    /// connect), whether it is silent or cut off midway. `None` = no
+    /// deadline: a started request is waited for until it completes or the
+    /// peer closes. Replication subscriptions are exempt (they are idle by
+    /// design between pushes).
     pub idle_timeout: Option<Duration>,
     /// Hard cap on one binary frame (and indirectly the request head cap
     /// guards HTTP); larger frames get a clean error and the connection

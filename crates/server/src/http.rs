@@ -6,10 +6,11 @@
 //! Not supported (responds `400`): chunked transfer encoding, multi-line
 //! headers, upgrades.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, ErrorKind, Read, Write};
 
-/// Cap on the request head (request line + headers).
-const MAX_HEAD_BYTES: usize = 16 * 1024;
+/// Cap on the request head (request line + headers). A longer head is
+/// answered `431`.
+pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Cap on a request body.
 const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
@@ -36,8 +37,12 @@ pub enum ParseError {
     /// The peer closed the connection before a request line arrived — the
     /// normal end of a keep-alive session, not an error to report.
     Closed,
-    /// An I/O error (including read timeouts used for shutdown polling).
+    /// An I/O error, or the stream ended inside a request (the peer closed,
+    /// or the server's [`PollReader`](crate::wire::PollReader) gave up on
+    /// it at the idle deadline).
     Io(std::io::Error),
+    /// The request head passed [`MAX_HEAD_BYTES`]; the server answers `431`.
+    HeadTooLarge,
     /// The bytes were not the HTTP we speak; the message goes in a `400`.
     Malformed(String),
 }
@@ -48,12 +53,13 @@ impl From<std::io::Error> for ParseError {
     }
 }
 
-/// Reads one request from `reader`.
-pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> Result<Request, ParseError> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+/// Reads one request from `reader`. The head never costs more than
+/// [`MAX_HEAD_BYTES`] plus one byte of reading, however long its lines.
+pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, ParseError> {
+    let mut head_bytes = 0usize;
+    let Some(line) = read_head_line(reader, &mut head_bytes)? else {
         return Err(ParseError::Closed);
-    }
+    };
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or("").to_ascii_uppercase();
     let target = parts.next().unwrap_or("").to_string();
@@ -65,16 +71,10 @@ pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> Result<Request, Parse
     let mut tenant = None;
     let mut content_length = 0usize;
     let mut keep_alive = true; // HTTP/1.1 default
-    let mut head_bytes = line.len();
     loop {
-        let mut h = String::new();
-        if reader.read_line(&mut h)? == 0 {
-            return Err(ParseError::Malformed("eof inside headers".into()));
-        }
-        head_bytes += h.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(ParseError::Malformed("request head too large".into()));
-        }
+        let Some(h) = read_head_line(reader, &mut head_bytes)? else {
+            return Err(ParseError::Io(ErrorKind::UnexpectedEof.into()));
+        };
         let h = h.trim_end();
         if h.is_empty() {
             break;
@@ -109,6 +109,30 @@ pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> Result<Request, Parse
         .map_err(|_| ParseError::Malformed("body is not valid utf-8".into()))?;
     let path = target.split('?').next().unwrap_or(&target).to_string();
     Ok(Request { method, path, bearer, tenant, keep_alive, body })
+}
+
+/// Reads one head line through its `\n`, or `None` if the stream ends
+/// before its first byte. It reads through `take` of what is left of the
+/// head budget plus one byte, so a line that never ends stops one byte past
+/// the cap.
+fn read_head_line<R: BufRead>(
+    reader: &mut R,
+    head_bytes: &mut usize,
+) -> Result<Option<String>, ParseError> {
+    let mut line = Vec::new();
+    let budget = (MAX_HEAD_BYTES - *head_bytes) as u64 + 1;
+    reader.take(budget).read_until(b'\n', &mut line)?;
+    *head_bytes += line.len();
+    if *head_bytes > MAX_HEAD_BYTES {
+        return Err(ParseError::HeadTooLarge);
+    }
+    match line.last() {
+        None => Ok(None),
+        Some(b'\n') => String::from_utf8(line)
+            .map(Some)
+            .map_err(|_| ParseError::Malformed("request head is not valid utf-8".into())),
+        Some(_) => Err(ParseError::Io(ErrorKind::UnexpectedEof.into())),
+    }
 }
 
 /// Writes one JSON response.
@@ -156,7 +180,7 @@ mod tests {
     use super::*;
 
     fn parse(text: &str) -> Result<Request, ParseError> {
-        read_request(&mut BufReader::new(text.as_bytes()))
+        read_request(&mut text.as_bytes())
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::server::Shared;
 use crate::tenant::{Tenant, TenantEngine};
 use crate::wire::{self, Op, Status};
 use mbi_core::{fail, MbiError, ReplEvent, Replica, StreamingMbi, WalFeed};
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -227,13 +227,9 @@ fn send_push(out: &mut &TcpStream, tag: u8, payload: &[u8], site: &str) -> bool 
 /// Reads `REPL_ACK` frames off the subscribed connection until it closes,
 /// advancing the leader's retention hold and the follower's stats entry.
 fn ack_loop(stream: TcpStream, tenant: &Tenant, follower_id: &str, stop: &AtomicBool) {
-    let mut reader = &stream;
-    loop {
-        let frame = match read_frame_poll(&mut reader, stop, None) {
-            Ok(Some(f)) => f,
-            Ok(None) | Err(_) => return,
-        };
-        let (tag, payload) = frame;
+    let stop = || stop.load(Ordering::Relaxed);
+    let mut reader = wire::PollReader::new(BufReader::new(&stream), stop, None);
+    while let Ok((tag, payload)) = next_frame(&mut reader, stop) {
         if tag != wire::REPL_ACK || payload.len() != 8 {
             continue;
         }
@@ -342,28 +338,30 @@ fn follow_once(
     if let Err(e) = wire::write_frame(&mut &stream, Op::Auth as u8, &auth) {
         return transient(format!("auth send: {e}"));
     }
-    match read_reply(&stream, shared, replica) {
-        Ok(Some((tag, body))) if tag == Status::Ok as u8 => drop(body),
-        Ok(Some((_, body))) => {
+    // One reader for the whole link: handshake replies, then pushes. It
+    // gives up only between frames, on shutdown or promotion.
+    let stop = || shared.stop.load(Ordering::Relaxed) || replica.is_promoted();
+    let mut link = wire::PollReader::new(BufReader::new(&stream), stop, None);
+    match next_frame(&mut link, stop) {
+        Ok((tag, _)) if tag == Status::Ok as u8 => {}
+        Ok((_, body)) => {
             // Auth rejections are usually deterministic, but during a
             // leader restart the tenant may simply not be up yet — keep
             // retrying rather than orphan the follower.
             return transient(format!("auth rejected: {}", String::from_utf8_lossy(&body)));
         }
-        Ok(None) => return LinkEnd::Stopped,
-        Err(m) => return transient(m),
+        Err(end) => return end,
     }
     let subscribe = wire::PayloadWriter::new().str16(follower_id).u64(replica.next_row()).build();
     if let Err(e) = wire::write_frame(&mut &stream, Op::ReplSubscribe as u8, &subscribe) {
         return transient(format!("subscribe send: {e}"));
     }
-    let hello = match read_reply(&stream, shared, replica) {
-        Ok(Some((tag, body))) if tag == Status::Ok as u8 => body,
-        Ok(Some((_, body))) => {
+    let hello = match next_frame(&mut link, stop) {
+        Ok((tag, body)) if tag == Status::Ok as u8 => body,
+        Ok((_, body)) => {
             return transient(format!("subscribe rejected: {}", String::from_utf8_lossy(&body)))
         }
-        Ok(None) => return LinkEnd::Stopped,
-        Err(m) => return transient(m),
+        Err(end) => return end,
     };
     let mut r = wire::PayloadReader::new(&hello);
     let parsed = (|| {
@@ -387,22 +385,15 @@ fn follow_once(
     state.leader_rows.fetch_max(leader_rows, Ordering::Relaxed);
     state.connected.store(true, Ordering::Relaxed);
     // Established. Apply pushes until the link breaks or we must stop.
-    let mut reader = &stream;
     let mut unacked = 0u64;
     let mut seals_since_checkpoint = 0u64;
     loop {
         if replica.is_promoted() {
             return LinkEnd::Stopped;
         }
-        let (tag, payload) = match read_frame_poll(&mut reader, &shared.stop, Some(replica)) {
-            Ok(Some(f)) => f,
-            Ok(None) => {
-                if shared.stop.load(Ordering::Relaxed) || replica.is_promoted() {
-                    return LinkEnd::Stopped;
-                }
-                return transient("leader closed the link".into());
-            }
-            Err(e) => return transient(format!("link read: {e}")),
+        let (tag, payload) = match next_frame(&mut link, stop) {
+            Ok(f) => f,
+            Err(end) => return end,
         };
         match tag {
             wire::REPL_RECORD => {
@@ -483,102 +474,37 @@ fn follow_once(
     }
 }
 
+/// Reads a replication link's next frame and marks the boundary, or says
+/// how the link ended: `Stopped` when told to stop, otherwise a transient
+/// to reconnect from.
+fn next_frame<R: BufRead>(
+    link: &mut wire::PollReader<R, impl Fn() -> bool>,
+    stop: impl Fn() -> bool,
+) -> Result<(u8, Vec<u8>), LinkEnd> {
+    match wire::read_frame(link) {
+        Ok(Some(frame)) => {
+            link.boundary();
+            Ok(frame)
+        }
+        Ok(None) if stop() => Err(LinkEnd::Stopped),
+        Ok(None) => Err(LinkEnd::Transient("leader closed the link".into())),
+        Err(e) => Err(LinkEnd::Transient(format!("link read: {e}"))),
+    }
+}
+
 /// Sends one durability ack carrying the follower's current row count.
 fn send_ack(stream: &TcpStream, replica: &Replica) -> std::io::Result<()> {
     let payload = wire::PayloadWriter::new().u64(replica.next_row()).build();
     wire::write_frame(&mut &*stream, wire::REPL_ACK, &payload)
 }
 
-/// Reads one handshake reply, polling the stop flag; `Ok(None)` means we
-/// should stop (shutdown/promotion) or the peer closed.
-fn read_reply(
-    stream: &TcpStream,
-    shared: &Shared,
-    replica: &Replica,
-) -> Result<Option<(u8, Vec<u8>)>, String> {
-    let mut reader = stream;
-    read_frame_poll(&mut reader, &shared.stop, Some(replica)).map_err(|e| e.to_string())
-}
-
-/// [`wire::read_frame`] over a socket with a short read timeout: timeouts
-/// poll `stop` (and promotion, when a replica is given) instead of tearing
-/// the frame — partial reads keep their position and resume. `Ok(None)` on
-/// clean close before a frame starts, or when told to stop.
-fn read_frame_poll(
-    reader: &mut impl Read,
-    stop: &AtomicBool,
-    replica: Option<&Replica>,
-) -> std::io::Result<Option<(u8, Vec<u8>)>> {
-    let should_stop = |started: bool| {
-        !started && (stop.load(Ordering::Relaxed) || replica.is_some_and(|r| r.is_promoted()))
-    };
-    let mut len = [0u8; 4];
-    if !read_exact_poll(reader, &mut len, &should_stop)? {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(len) as usize;
-    if len == 0 || len > wire::MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("bad push frame length {len}"),
-        ));
-    }
-    let never = |_: bool| false;
-    let mut tag = [0u8; 1];
-    if !read_exact_poll(reader, &mut tag, &never)? {
-        return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "torn frame"));
-    }
-    let mut payload = vec![0u8; len - 1];
-    if !read_exact_poll(reader, &mut payload, &never)? {
-        return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "torn frame"));
-    }
-    Ok(Some((tag[0], payload)))
-}
-
-/// `read_exact` that survives read timeouts without losing position.
-/// `Ok(false)` when the peer closed (or `should_stop` said to) before the
-/// first byte; a close mid-buffer is an `UnexpectedEof` error.
-fn read_exact_poll(
-    reader: &mut impl Read,
-    buf: &mut [u8],
-    should_stop: &dyn Fn(bool) -> bool,
-) -> std::io::Result<bool> {
-    let mut got = 0usize;
-    while got < buf.len() {
-        match reader.read(&mut buf[got..]) {
-            Ok(0) => {
-                if got == 0 {
-                    return Ok(false);
-                }
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-frame",
-                ));
-            }
-            Ok(n) => got += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if should_stop(got > 0) {
-                    return Ok(false);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
 
     #[test]
-    fn read_exact_poll_resumes_across_timeouts() {
+    fn frames_resume_across_timeouts() {
         // A reader that yields WouldBlock between every byte must still
         // deliver the full buffer without losing position.
         struct Choppy<'a> {
@@ -603,13 +529,15 @@ mod tests {
         }
         let mut frame = Vec::new();
         wire::write_frame(&mut frame, wire::REPL_HEARTBEAT, &7u64.to_le_bytes()).unwrap();
-        let mut chopped = Choppy { bytes: &frame, pos: 0, ready: false };
+        let chopped = Choppy { bytes: &frame, pos: 0, ready: false };
         let stop = AtomicBool::new(false);
-        let (tag, payload) = read_frame_poll(&mut chopped, &stop, None).unwrap().unwrap();
+        let stop = || stop.load(Ordering::Relaxed);
+        let mut chopped = wire::PollReader::new(BufReader::new(chopped), stop, None);
+        let (tag, payload) = wire::read_frame(&mut chopped).unwrap().unwrap();
         assert_eq!(tag, wire::REPL_HEARTBEAT);
         assert_eq!(payload, 7u64.to_le_bytes());
         // Clean EOF between frames is None, not an error.
-        assert!(read_frame_poll(&mut chopped, &stop, None).unwrap().is_none());
+        assert!(wire::read_frame(&mut chopped).unwrap().is_none());
     }
 
     #[test]
@@ -621,6 +549,8 @@ mod tests {
             }
         }
         let stop = AtomicBool::new(true);
-        assert!(read_frame_poll(&mut Never, &stop, None).unwrap().is_none());
+        let stop = || stop.load(Ordering::Relaxed);
+        let mut never = wire::PollReader::new(BufReader::new(Never), stop, None);
+        assert!(wire::read_frame(&mut never).unwrap().is_none());
     }
 }

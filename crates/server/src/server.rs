@@ -6,6 +6,12 @@
 //! the magic [`MAGIC`](crate::wire::MAGIC) opens the binary framing,
 //! anything else is parsed as HTTP/1.1.
 //!
+//! Both protocols read the connection through one
+//! [`PollReader`](crate::wire::PollReader). Between requests it closes the
+//! connection on shutdown; a request must arrive whole within the idle
+//! timeout of the previous reply, however many pieces it comes in, or the
+//! connection is dropped and counted in `idle_dropped`.
+//!
 //! Admission control is two nested gates: a connection cap (refused
 //! connections get an immediate overload response and close) and an
 //! in-flight request cap (excess requests are shed with
@@ -31,7 +37,8 @@ use std::time::{Duration, Instant};
 /// because this bounds the accept latency of every fresh connection (one
 /// HTTP request from `curl` pays it once).
 const ACCEPT_POLL: Duration = Duration::from_millis(1);
-/// Per-connection read timeout used to poll the stop flag between requests.
+/// Per-connection read timeout: how often a waiting connection checks the
+/// stop flag and its idle deadline.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 /// How long [`ServerHandle::shutdown`] waits for in-flight work to drain.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
@@ -211,82 +218,28 @@ fn refuse(mut stream: TcpStream) {
     let _ = stream.write_all(&buf);
 }
 
-/// A `Read` that replays the sniffed prefix before the live stream.
-struct PrefixedStream<'a> {
-    prefix: &'a [u8],
-    pos: usize,
-    stream: &'a TcpStream,
-}
-
-impl Read for PrefixedStream<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.pos < self.prefix.len() {
-            let n = (&self.prefix[self.pos..]).read(buf)?;
-            self.pos += n;
-            return Ok(n);
-        }
-        self.stream.read(buf)
-    }
-}
+/// A connection's reader: buffered, polling `stop` between requests.
+type ConnReader<'a, S> = wire::PollReader<BufReader<&'a TcpStream>, S>;
 
 fn serve_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+    // The idle deadline (the slow-loris guard) starts here: a connection
+    // that cannot even produce 4 bytes in time is dropped.
+    let stop = || shared.stop.load(Ordering::Relaxed);
+    let mut reader =
+        wire::PollReader::new(BufReader::new(&stream), stop, shared.config.idle_timeout);
     let mut sniff = [0u8; 4];
-    let mut got = 0usize;
-    // Collect the 4 sniff bytes, polling the stop flag on timeouts. The
-    // idle deadline (the slow-loris guard) starts here: a connection that
-    // cannot even produce 4 bytes in time is dropped.
-    let idle_gone = shared.config.idle_timeout.map(|d| Instant::now() + d);
-    while got < 4 {
-        match (&stream).read(&mut sniff[got..]) {
-            Ok(0) => return,
-            Ok(n) => got += n,
-            Err(e) if is_timeout(&e) => {
-                if shared.stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                if idle_gone.is_some_and(|gone| Instant::now() >= gone) {
-                    shared.metrics.idle_dropped.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
-            Err(_) => return,
+    if reader.read_exact(&mut sniff).is_ok() {
+        if sniff == wire::MAGIC {
+            reader.boundary();
+            serve_binary(&mut reader, &stream, shared);
+        } else {
+            serve_http(&mut reader, &sniff, &stream, shared);
         }
     }
-    if sniff == wire::MAGIC {
-        serve_binary(&stream, shared);
-    } else {
-        serve_http(&stream, &sniff, shared);
-    }
-}
-
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
-}
-
-/// Waits until the reader has buffered data, the peer closes (`Ok(false)`),
-/// the server stops (`Ok(false)`), or the idle deadline passes without a
-/// byte arriving (`Ok(false)`, counted in `idle_dropped`). The deadline is
-/// re-armed per request — it bounds *idle* time, not connection lifetime.
-fn wait_readable<R: Read>(reader: &mut BufReader<R>, shared: &Shared) -> std::io::Result<bool> {
-    use std::io::BufRead;
-    let idle_gone = shared.config.idle_timeout.map(|d| Instant::now() + d);
-    loop {
-        match reader.fill_buf() {
-            Ok([]) => return Ok(false),
-            Ok(_) => return Ok(true),
-            Err(e) if is_timeout(&e) => {
-                if shared.stop.load(Ordering::Relaxed) {
-                    return Ok(false);
-                }
-                if idle_gone.is_some_and(|gone| Instant::now() >= gone) {
-                    shared.metrics.idle_dropped.fetch_add(1, Ordering::Relaxed);
-                    return Ok(false);
-                }
-            }
-            Err(e) => return Err(e),
-        }
+    if reader.idled_out() {
+        shared.metrics.idle_dropped.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -342,29 +295,29 @@ fn run_query(
 // HTTP protocol
 // ---------------------------------------------------------------------------
 
-fn serve_http(stream: &TcpStream, sniffed: &[u8], shared: &Shared) {
-    let mut reader = BufReader::new(PrefixedStream { prefix: sniffed, pos: 0, stream });
+fn serve_http<S: Fn() -> bool>(
+    reader: &mut ConnReader<'_, S>,
+    sniffed: &[u8],
+    stream: &TcpStream,
+    shared: &Shared,
+) {
+    let mut input = sniffed.chain(reader);
     let mut out = stream;
     loop {
-        match wait_readable(&mut reader, shared) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => return,
-        }
-        let request = match http::read_request(&mut reader) {
+        let request = match http::read_request(&mut input) {
             Ok(r) => r,
-            Err(ParseError::Closed) => return,
-            Err(ParseError::Io(_)) => return,
-            Err(ParseError::Malformed(m)) => {
+            Err(ParseError::Closed | ParseError::Io(_)) => return,
+            Err(ParseError::HeadTooLarge) => {
                 // An oversized request head is the HTTP face of the frame
                 // cap: 431 and its own counter, not a generic 400.
-                let status = if m == "request head too large" {
-                    shared.metrics.oversized.fetch_add(1, Ordering::Relaxed);
-                    431
-                } else {
-                    shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-                    400
-                };
-                let _ = http::write_response(&mut out, status, &http::error_body(&m), false);
+                shared.metrics.oversized.fetch_add(1, Ordering::Relaxed);
+                let body = http::error_body("request head too large");
+                let _ = http::write_response(&mut out, 431, &body, false);
+                return;
+            }
+            Err(ParseError::Malformed(m)) => {
+                shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
+                let _ = http::write_response(&mut out, 400, &http::error_body(&m), false);
                 return;
             }
         };
@@ -373,6 +326,7 @@ fn serve_http(stream: &TcpStream, sniffed: &[u8], shared: &Shared) {
         if http::write_response(&mut out, status, &body, keep_alive).is_err() || !keep_alive {
             return;
         }
+        input.get_mut().1.boundary();
     }
 }
 
@@ -576,36 +530,33 @@ fn render(value: Value) -> String {
 // Binary protocol
 // ---------------------------------------------------------------------------
 
-fn serve_binary(stream: &TcpStream, shared: &Shared) {
-    let mut reader = BufReader::new(stream);
+fn serve_binary<S: Fn() -> bool>(
+    reader: &mut ConnReader<'_, S>,
+    stream: &TcpStream,
+    shared: &Shared,
+) {
     let mut out = stream;
     // The connection's authenticated tenant; every op except AUTH and PING
     // requires it.
     let mut tenant: Option<Arc<Tenant>> = None;
     loop {
-        match wait_readable(&mut reader, shared) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => return,
-        }
-        let (tag, payload) =
-            match wire::read_frame_limit(&mut reader, shared.config.max_frame_bytes) {
-                Ok(Some(f)) => f,
-                Ok(None) => return,
-                Err(e) => {
-                    if e.to_string().contains("exceeds cap") {
-                        shared.metrics.oversized.fetch_add(1, Ordering::Relaxed);
-                        let _ = wire::write_frame(
-                            &mut out,
-                            Status::BadRequest as u8,
-                            b"frame too large",
-                        );
-                    } else {
-                        shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-                        let _ = wire::write_frame(&mut out, Status::BadRequest as u8, b"bad frame");
-                    }
-                    return;
+        let (tag, payload) = match wire::read_frame_limit(reader, shared.config.max_frame_bytes) {
+            Ok(Some(f)) => f,
+            Ok(None) => return,
+            // Cut off at the idle deadline: counted as idle, not bad.
+            Err(_) if reader.idled_out() => return,
+            Err(e) => {
+                if e.to_string().contains("exceeds cap") {
+                    shared.metrics.oversized.fetch_add(1, Ordering::Relaxed);
+                    let _ =
+                        wire::write_frame(&mut out, Status::BadRequest as u8, b"frame too large");
+                } else {
+                    shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
+                    let _ = wire::write_frame(&mut out, Status::BadRequest as u8, b"bad frame");
                 }
-            };
+                return;
+            }
+        };
         let Some(op) = Op::from_u8(tag) else {
             shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
             let _ = wire::write_frame(&mut out, Status::BadRequest as u8, b"unknown op");
@@ -626,6 +577,7 @@ fn serve_binary(stream: &TcpStream, shared: &Shared) {
         if wire::write_frame(&mut out, status as u8, &response).is_err() {
             return;
         }
+        reader.boundary();
     }
 }
 

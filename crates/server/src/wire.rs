@@ -37,9 +37,17 @@
 //! the follower sends [`REPL_ACK`] frames upstream on the same socket.
 //! Record frames carry their own CRC-checked WAL payload; seal frames carry
 //! the leader's segment CRC the follower verifies its own bytes against.
+//!
+//! # Reading a socket
+//!
+//! Every socket the server reads has a short read timeout, so its threads
+//! can notice shutdown. [`PollReader`] is the one place that timeout is
+//! handled: frames and HTTP requests are parsed through it and never see
+//! it.
 
 use mbi_core::TknnResult;
-use std::io::{Read, Write};
+use std::io::{BufRead, ErrorKind, Read, Write};
+use std::time::{Duration, Instant};
 
 /// The protocol magic a binary connection opens with.
 pub const MAGIC: [u8; 4] = *b"MBI1";
@@ -154,24 +162,100 @@ pub fn read_frame_limit<R: Read>(r: &mut R, max: usize) -> std::io::Result<Optio
     let mut len = [0u8; 4];
     match r.read_exact(&mut len) {
         Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
     let len = u32::from_le_bytes(len) as usize;
     if len == 0 {
-        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "zero-length frame"));
+        return Err(std::io::Error::new(ErrorKind::InvalidData, "zero-length frame"));
     }
-    if len > max.min(MAX_FRAME) {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds cap {}", max.min(MAX_FRAME)),
-        ));
+    let max = max.min(MAX_FRAME);
+    if len > max {
+        let message = format!("frame length {len} exceeds cap {max}");
+        return Err(std::io::Error::new(ErrorKind::InvalidData, message));
     }
     let mut tag = [0u8; 1];
     r.read_exact(&mut tag)?;
     let mut payload = vec![0u8; len - 1];
     r.read_exact(&mut payload)?;
     Ok(Some((tag[0], payload)))
+}
+
+/// A buffered reader over a socket with a read timeout, which it never
+/// passes on: on each timeout it either waits on or gives up, and giving up
+/// reads as end of stream. It gives up
+///
+/// * when `stop` returns true before any byte of the current request or
+///   frame has arrived — a clean close;
+/// * at the idle deadline, wherever that falls — [`PollReader::idled_out`]
+///   then says so.
+///
+/// Otherwise a request or frame that arrives in pieces resumes where it
+/// left off. The caller marks each request or frame boundary with
+/// [`PollReader::boundary`], which also re-arms the idle deadline, so with
+/// `idle` set each request must arrive whole within `idle` of the last
+/// boundary.
+pub struct PollReader<R, S> {
+    inner: R,
+    stop: S,
+    idle: Option<Duration>,
+    deadline: Option<Instant>,
+    started: bool,
+    idled_out: bool,
+}
+
+impl<R: BufRead, S: Fn() -> bool> PollReader<R, S> {
+    /// Wraps `inner`; `idle: None` waits on a started request forever.
+    pub fn new(inner: R, stop: S, idle: Option<Duration>) -> Self {
+        let deadline = idle.map(|d| Instant::now() + d);
+        PollReader { inner, stop, idle, deadline, started: false, idled_out: false }
+    }
+
+    /// Marks a request or frame boundary: the next byte starts a new one.
+    pub fn boundary(&mut self) {
+        self.started = false;
+        self.deadline = self.idle.map(|d| Instant::now() + d);
+    }
+
+    /// Whether the reader gave up at the idle deadline.
+    pub fn idled_out(&self) -> bool {
+        self.idled_out
+    }
+}
+
+impl<R: BufRead, S: Fn() -> bool> BufRead for PollReader<R, S> {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        loop {
+            match self.inner.fill_buf() {
+                Ok([]) => return Ok(&[]),
+                Ok(_) => break,
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    if !self.started && (self.stop)() {
+                        return Ok(&[]);
+                    }
+                    if self.deadline.is_some_and(|d| Instant::now() >= d) {
+                        self.idled_out = true;
+                        return Ok(&[]);
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        self.started = true;
+        self.inner.fill_buf()
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.inner.consume(n);
+    }
+}
+
+impl<R: BufRead, S: Fn() -> bool> Read for PollReader<R, S> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.fill_buf()?.read(buf)?;
+        self.consume(n);
+        Ok(n)
+    }
 }
 
 /// Writes one frame.
@@ -336,7 +420,9 @@ pub fn decode_results(payload: &[u8]) -> Result<(u8, Vec<TknnResult>), String> {
     let mut r = PayloadReader::new(payload);
     let flags = *r.take(1)?.first().expect("1 byte");
     let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
+    // Each result is 16 bytes on the wire: a bogus count cannot reserve
+    // more than the payload could hold.
+    let mut out = Vec::with_capacity(n.min(payload.len() / 16));
     for _ in 0..n {
         out.push(TknnResult { id: r.u32()?, timestamp: r.i64()?, dist: r.f32()? });
     }
@@ -347,6 +433,59 @@ pub fn decode_results(payload: &[u8]) -> Result<(u8, Vec<TknnResult>), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
+    use std::io::BufReader;
+
+    /// A socket stand-in: each step yields its bytes, an empty step is one
+    /// read timeout, and the end of the script is end of stream.
+    struct Script(VecDeque<&'static [u8]>);
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some([]) => Err(ErrorKind::WouldBlock.into()),
+                Some(bytes) => {
+                    buf[..bytes.len()].copy_from_slice(bytes);
+                    Ok(bytes.len())
+                }
+            }
+        }
+    }
+
+    fn scripted(
+        steps: &[&'static [u8]],
+        stop: bool,
+        idle: Option<Duration>,
+    ) -> PollReader<BufReader<Script>, impl Fn() -> bool> {
+        PollReader::new(BufReader::new(Script(steps.iter().copied().collect())), move || stop, idle)
+    }
+
+    #[test]
+    fn stop_waits_for_a_started_frame_then_closes_cleanly() {
+        // A PING frame split inside its length and before its tag, with
+        // the stop flag already up: the frame still arrives whole…
+        let steps: &[&[u8]] = &[&[1, 0], &[], &[], &[0, 0], &[], &[Op::Ping as u8], &[], &[7]];
+        let mut reader = scripted(steps, true, None);
+        assert_eq!(read_frame(&mut reader).unwrap(), Some((Op::Ping as u8, Vec::new())));
+        // …and between frames the stop flag is a clean close, leaving the
+        // next step unread.
+        reader.boundary();
+        assert_eq!(read_frame(&mut reader).unwrap(), None);
+        assert!(!reader.idled_out());
+    }
+
+    #[test]
+    fn idle_deadline_cuts_a_frame_anywhere() {
+        let steps: &[&[u8]] = &[&[1, 0, 0, 0], &[], &[Op::Ping as u8]];
+        let mut reader = scripted(steps, false, Some(Duration::ZERO));
+        assert!(read_frame(&mut reader).is_err(), "the tag never arrives in time");
+        assert!(reader.idled_out());
+        // Between frames the deadline reads as a clean close.
+        let mut reader = scripted(&[&[]], false, Some(Duration::ZERO));
+        assert_eq!(read_frame(&mut reader).unwrap(), None);
+        assert!(reader.idled_out());
+    }
 
     #[test]
     fn frames_roundtrip() {

@@ -9,10 +9,15 @@
 use mbi_core::{EngineConfig, MbiConfig, QueryRequest, StreamingMbi, TimeWindow};
 use mbi_math::Metric;
 use mbi_server::client::{http_request, BinaryClient, ClientError};
-use mbi_server::wire::Status;
+use mbi_server::wire::{self, Op, PayloadWriter, Status};
 use mbi_server::{Server, ServerConfig, TenantConfig};
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
+
+/// Three times the server's 50 ms per-connection poll interval: a request
+/// split by this gap spans several read timeouts.
+const GAP: Duration = Duration::from_millis(150);
 
 fn index_config() -> MbiConfig {
     MbiConfig::new(4, Metric::Euclidean).with_leaf_size(32)
@@ -274,5 +279,158 @@ fn oversized_http_head_answers_431() {
     // The server survives and keeps serving normal requests.
     let (status, _) = http_request(addr, "GET", "/healthz", &[], "").unwrap();
     assert_eq!(status, 200);
+    handle.shutdown();
+}
+
+/// Sends `bytes` in two writes `at` bytes apart in time by [`GAP`].
+fn send_split(stream: &mut TcpStream, bytes: &[u8], at: usize) {
+    stream.write_all(&bytes[..at]).unwrap();
+    stream.flush().unwrap();
+    std::thread::sleep(GAP);
+    stream.write_all(&bytes[at..]).unwrap();
+}
+
+fn frame(op: Op, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    wire::write_frame(&mut bytes, op as u8, payload).unwrap();
+    bytes
+}
+
+fn raw_connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream
+}
+
+/// The status code of a raw HTTP exchange the server closes after.
+fn http_status(mut stream: TcpStream) -> u16 {
+    // A reset after the reply (the server closes with request bytes still
+    // unread) keeps what was read before it.
+    let mut reply = Vec::new();
+    let _ = stream.read_to_end(&mut reply);
+    String::from_utf8_lossy(&reply)
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0)
+}
+
+fn server_counter(addr: SocketAddr, name: &str) -> u64 {
+    let auth = [("Authorization", "Bearer tok-a"), ("X-Tenant", "alpha")];
+    let (status, body) = http_request(addr, "GET", "/stats", &auth, "").unwrap();
+    assert_eq!(status, 200, "{body}");
+    let stats = serde_json::from_str(&body).unwrap();
+    stats.get("server").and_then(|s| s.get(name)).and_then(|v| v.as_u64()).unwrap()
+}
+
+#[test]
+fn binary_frames_split_across_poll_intervals_are_served() {
+    let (handle, addr) = start(
+        ServerConfig::new("127.0.0.1:0", index_config())
+            .with_tenant(TenantConfig::memory("alpha", "tok-a")),
+    );
+    let mut stream = raw_connect(addr);
+    stream.write_all(&wire::MAGIC).unwrap();
+    // A PING split inside its length prefix.
+    send_split(&mut stream, &frame(Op::Ping, &[]), 2);
+    let (status, _) = wire::read_frame(&mut stream).unwrap().unwrap();
+    assert_eq!(Status::from_u8(status), Some(Status::Ok));
+    // An INSERT split inside its vector, after a whole AUTH.
+    let auth = PayloadWriter::new().str16("alpha").str16("tok-a").build();
+    stream.write_all(&frame(Op::Auth, &auth)).unwrap();
+    let (status, _) = wire::read_frame(&mut stream).unwrap().unwrap();
+    assert_eq!(Status::from_u8(status), Some(Status::Ok));
+    let insert = PayloadWriter::new().i64(5).u32(4).f32s(&row(5)).build();
+    let insert = frame(Op::Insert, &insert);
+    send_split(&mut stream, &insert, insert.len() - 6);
+    let (status, id) = wire::read_frame(&mut stream).unwrap().unwrap();
+    assert_eq!(Status::from_u8(status), Some(Status::Ok), "{}", String::from_utf8_lossy(&id));
+    assert_eq!(id, 0u32.to_le_bytes());
+    assert_eq!(server_counter(addr, "bad_requests"), 0);
+    handle.shutdown();
+}
+
+#[test]
+fn http_requests_split_across_poll_intervals_are_served() {
+    let (handle, addr) = start(
+        ServerConfig::new("127.0.0.1:0", index_config())
+            .with_tenant(TenantConfig::memory("alpha", "tok-a")),
+    );
+    let mut stream = raw_connect(addr);
+    let get = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n";
+    send_split(&mut stream, get, 8);
+    assert_eq!(http_status(stream), 200);
+
+    let body = r#"{"vector":[0.1,0.2,0.3,0.4],"timestamp":1}"#;
+    let post = format!(
+        "POST /insert HTTP/1.1\r\nAuthorization: Bearer tok-a\r\nConnection: close\r\n\
+         Content-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let mut stream = raw_connect(addr);
+    // Split inside the head, then again inside the body.
+    let cut = post.find("Connection").unwrap();
+    send_split(&mut stream, &post.as_bytes()[..post.len() - 10], cut);
+    std::thread::sleep(GAP);
+    stream.write_all(&post.as_bytes()[post.len() - 10..]).unwrap();
+    assert_eq!(http_status(stream), 200);
+    assert_eq!(server_counter(addr, "bad_requests"), 0);
+    handle.shutdown();
+}
+
+#[test]
+fn frame_cut_off_at_the_idle_deadline_counts_as_idle_not_bad() {
+    let (handle, addr) = start(
+        ServerConfig::new("127.0.0.1:0", index_config())
+            .with_tenant(TenantConfig::memory("alpha", "tok-a"))
+            .with_idle_timeout(Some(Duration::from_millis(150))),
+    );
+    let bad_before = server_counter(addr, "bad_requests");
+    let mut stream = raw_connect(addr);
+    stream.write_all(&wire::MAGIC).unwrap();
+    let ping = frame(Op::Ping, &[]);
+    stream.write_all(&ping[..3]).unwrap();
+    // The rest never comes: the server closes the connection without a
+    // reply once the deadline passes.
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "no reply to a cut-off frame, got {rest:?}");
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while server_counter(addr, "idle_dropped") < 1 {
+        assert!(std::time::Instant::now() < deadline, "cut-off frame never counted");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(server_counter(addr, "bad_requests"), bad_before);
+    handle.shutdown();
+}
+
+#[test]
+fn unterminated_http_request_line_answers_431() {
+    let (handle, addr) = start(
+        ServerConfig::new("127.0.0.1:0", index_config())
+            .with_tenant(TenantConfig::memory("alpha", "tok-a")),
+    );
+    let mut stream = raw_connect(addr);
+    let line = format!("GET /{}", "x".repeat(64 * 1024));
+    // The server answers once the cap is passed and closes; it may do so
+    // before the whole line is written.
+    let _ = stream.write_all(line.as_bytes());
+    assert_eq!(http_status(stream), 431);
+    assert!(server_counter(addr, "oversized") >= 1);
+    handle.shutdown();
+}
+
+#[test]
+fn unterminated_http_header_line_answers_431() {
+    let (handle, addr) = start(
+        ServerConfig::new("127.0.0.1:0", index_config())
+            .with_tenant(TenantConfig::memory("alpha", "tok-a")),
+    );
+    let mut stream = raw_connect(addr);
+    let head = format!("GET /healthz HTTP/1.1\r\nX-Padding: {}", "x".repeat(64 * 1024));
+    let _ = stream.write_all(head.as_bytes());
+    assert_eq!(http_status(stream), 431);
+    assert!(server_counter(addr, "oversized") >= 1);
     handle.shutdown();
 }

@@ -254,7 +254,7 @@ fn published_snapshots_share_storage_with_predecessors() {
         assert!(Arc::ptr_eq(a, b), "a later publication copied a block");
     }
     // Every publication took its latency sample, and the snapshot is sound.
-    assert!(!engine.stats().publish_micros.is_empty());
+    assert!(!engine.stats().publish_nanos.is_empty());
     assert_eq!(late.validate(), Ok(()));
 }
 
